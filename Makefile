@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-save bench-compare bench-e2e bench-e2e-compare bench-e2e-save bench-service bench-service-compare bench-service-save profile profile-e2e examples figures golden-save chaos serve clean
+.PHONY: install test perfbench-test bench bench-save bench-compare bench-e2e bench-e2e-compare bench-e2e-save bench-service bench-service-compare bench-service-save profile profile-e2e examples figures golden-save chaos serve clean
 
 install:
 	pip install -e '.[test]'
@@ -11,6 +11,11 @@ install:
 # keeps it working without an editable install.
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
+
+# The benchmark's own suite (perfbench/README.md): shares partition
+# time, inputs are seed-determined, and every layer entry point exists.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

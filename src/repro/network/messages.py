@@ -42,6 +42,14 @@ class Message:
     sender: int
     message_id: int = field(default_factory=_next_message_id)
 
+    def outcome_for(self, node_id: int) -> Optional[bool]:
+        """The trust outcome this message assigns ``node_id``.
+
+        ``True`` rewards the node, ``False`` penalises it, and ``None``
+        means the message is not a verdict naming it.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class EventReportMessage(Message):
@@ -96,19 +104,17 @@ class ChDecisionAnnouncement(Message):
     reporters: Tuple[int, ...] = ()
     non_reporters: Tuple[int, ...] = ()
 
-    def participant_sets(self) -> Tuple[frozenset, frozenset]:
-        """``(reporters, non_reporters)`` as sets, built once per message.
+    def outcome_for(self, node_id: int) -> Optional[bool]:
+        """Reward reporters iff the event was upheld, non-reporters iff not.
 
-        A broadcast hands the *same* announcement instance to every
-        node in the cluster, and each receiver asks "am I in R / NR?".
-        Linear tuple scans per receiver turn that into O(cluster^2) per
-        decision; the lazily cached sets make it one hash probe.
+        This replays the CH's public trust update rule (§3), so a smart
+        adversary can track its own TI from the broadcast verdicts.
         """
-        sets = getattr(self, "_participant_sets", None)
-        if sets is None:
-            sets = (frozenset(self.reporters), frozenset(self.non_reporters))
-            object.__setattr__(self, "_participant_sets", sets)
-        return sets
+        if node_id in self.reporters:
+            return self.occurred
+        if node_id in self.non_reporters:
+            return not self.occurred
+        return None
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,12 @@ class NetworkNode:
         position outside the field.
     """
 
+    #: Set by endpoints whose :meth:`on_message` ignores every CH
+    #: decision announcement that does not name them as a reporter or
+    #: non-reporter.  The channel then hands such an endpoint only the
+    #: announcements that name it; every other message still reaches it.
+    hears_only_own_announcements = False
+
     def __init__(self, node_id: int, position: Point) -> None:
         if node_id < 0:
             raise ValueError(f"node_id must be non-negative, got {node_id}")

@@ -13,6 +13,8 @@ supported for topology-sensitive scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -23,7 +25,9 @@ from typing import (
     Tuple,
 )
 
-from repro.network.messages import Message
+import numpy as np
+
+from repro.network.messages import ChDecisionAnnouncement, Message
 from repro.network.node import NetworkNode
 from repro.simkernel.simulator import Simulator
 
@@ -127,6 +131,29 @@ _FUSED_LABEL = "deliver:batch"
 _VECTOR_MIN = 4
 
 
+_ALIVE = attrgetter("alive")
+
+
+class _Fanout(NamedTuple):
+    """A sender's broadcast receivers, memoised until registration changes."""
+
+    nodes: List[NetworkNode]  # every other endpoint, ascending id
+    hears_all: Tuple[int, ...]  # indices of receivers handed every message
+    index: Dict[int, int]  # receiver id -> index in ``nodes``
+
+    def listeners(self, announcement: ChDecisionAnnouncement) -> List[int]:
+        """Ascending indices of the receivers ``announcement`` concerns."""
+        index = self.index
+        named = {
+            index[node_id]
+            for node_id in chain(
+                announcement.reporters, announcement.non_reporters
+            )
+            if node_id in index
+        }
+        return sorted(named.union(self.hears_all))
+
+
 def _deliver_label(message_type: type) -> str:
     label = _DELIVER_LABELS.get(message_type)
     if label is None:
@@ -154,8 +181,7 @@ class RadioChannel:
         self._spans = sim.spans
         self.config = config if config is not None else ChannelConfig()
         self._nodes: Dict[int, NetworkNode] = {}
-        # Broadcast order memo: (node_id, node) in ascending id order.
-        self._sorted_pairs: Optional[List[Tuple[int, NetworkNode]]] = None
+        self._fanouts: Dict[int, _Fanout] = {}
         self._link_loss: Dict[Tuple[int, int], float] = {}
         self._taps: Dict[int, list] = {}
         self._interceptor: Optional[Interceptor] = None
@@ -180,13 +206,13 @@ class RadioChannel:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id}")
         self._nodes[node.node_id] = node
-        self._sorted_pairs = None
+        self._fanouts = {}
         node.attach(self._sim, self)
 
     def unregister(self, node_id: int) -> None:
         """Remove an endpoint (e.g. a diagnosed-faulty node being isolated)."""
         self._nodes.pop(node_id, None)
-        self._sorted_pairs = None
+        self._fanouts = {}
 
     def node(self, node_id: int) -> NetworkNode:
         """Look up a registered endpoint by id."""
@@ -250,6 +276,9 @@ class RadioChannel:
         taps = self._taps.get(watched_id, [])
         if tap in taps:
             taps.remove(tap)
+            if not taps:
+                # An emptied entry would keep broadcasts off the fused path.
+                del self._taps[watched_id]
 
     # ------------------------------------------------------------------
     # Traffic
@@ -354,12 +383,14 @@ class RadioChannel:
 
         Bit-identical to calling :meth:`unicast` once per message in
         order -- same RNG stream consumption, same drop reasons, same
-        interceptor consultation -- but the Bernoulli loss trials are
-        drawn as one numpy vector and the surviving deliveries are
-        scheduled as a single fused kernel event, so an N-report round
-        costs one heap push instead of N.  Every sender must be a
-        registered endpoint (senders transmit from their registered
-        position).
+        interceptor consultation (see ``tests/network/test_radio_batch.py``)
+        -- but the Bernoulli loss trials are drawn as one numpy vector
+        and the surviving deliveries are scheduled as a single fused
+        kernel event, so an N-report round costs one heap push instead
+        of N.  Every sender must be a registered endpoint (senders
+        transmit from their registered position).  The receiver's
+        registration and liveness are checked once for the whole batch,
+        which is valid because no event can run between its entries.
         """
         if len(sender_ids) != len(messages):
             raise ValueError(
@@ -374,175 +405,45 @@ class RadioChannel:
             ]
         except KeyError as exc:
             raise ValueError(f"unknown sender id {exc.args[0]}") from None
-        return self._transmit_many(entries, common_destination=destination)
-
-    def broadcast(self, sender: NetworkNode, message: Message) -> int:
-        """Transmit to every other live endpoint; returns deliveries started.
-
-        Each receiver suffers an independent loss trial, matching a
-        contention-free broadcast over independent fading links.  Routed
-        through the same batched core as :meth:`unicast_batch`, so a
-        CH decision announcement to N cluster members costs one fused
-        delivery event.
-        """
-        pairs = self._sorted_pairs
-        if pairs is None:
-            pairs = self._sorted_pairs = sorted(self._nodes.items())
-        sender_id = sender.node_id
         config = self.config
         if (
-            self._interceptor is None
-            and not self._spans.enabled
-            and config.jitter == 0
-            and config.loss_probability == 0.0
-            and config.range_limit is None
-            and not self._link_loss
-            and len(pairs) > _VECTOR_MIN
-        ):
-            # Lossless wide-open shape: every live receiver gets the
-            # message, so skip the per-entry outcome bookkeeping.  The
-            # batched core would fuse the exact same survivor list into
-            # one delivery event, and the "channel" draw below keeps the
-            # stream position identical (one draw per live receiver,
-            # ascending id order, no draw for dead ones -- just like the
-            # oracle's per-message loop).
-            n = len(pairs) - 1 if sender_id in self._nodes else len(pairs)
-            deliveries = [
-                (node, message)
-                for node_id, node in pairs
-                if node_id != sender_id and node.alive
-            ]
-            n_ok = len(deliveries)
-            n_dead = n - n_ok
-            trace = self._sim.trace
-            if n_dead == 0 or not (
-                trace.enabled or trace.count_when_disabled
-            ):
-                if n_ok:
-                    self._rng.random(n_ok)
-                    self._schedule_fused(
-                        config.propagation_delay, deliveries
-                    )
-                self.sent += n
-                self.delivered += n_ok
-                self.dropped += n_dead
-                metrics = self._sim.metrics
-                if metrics.enabled:
-                    if self._counter_src is not metrics:
-                        self._rebind_counters(metrics)
-                    self._c_sent.inc(n)
-                    if n_ok:
-                        self._c_delivered.inc(n_ok)
-                    if n_dead:
-                        self._c_dropped.inc(n_dead)
-                        self._drop_counter("dead-receiver").inc(n_dead)
-                return n_ok
-            # Tracing with dead receivers: the per-entry path emits one
-            # radio.drop record per dead receiver; keep that behaviour.
-        entries = [
-            (sender, node_id, message)
-            for node_id, _node in pairs
-            if node_id != sender_id
-        ]
-        outcomes = self._transmit_many(entries)
-        return sum(1 for outcome in outcomes if outcome.delivered)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _transmit_many(
-        self,
-        entries: List[Tuple[NetworkNode, int, Message]],
-        common_destination: Optional[int] = None,
-    ) -> List[DeliveryOutcome]:
-        """Batched transmit core: the vectorised twin of :meth:`unicast`.
-
-        The per-message path IS the semantics; this method must replay
-        it exactly (see ``tests/network/test_radio_batch.py``).  The
-        vector path applies only when ``jitter == 0``: with jitter on,
-        the oracle interleaves a loss draw and a jitter draw per message
-        on the ``"channel"`` stream, an order a single vector draw
-        cannot reproduce, so jittered channels take the per-message
-        loop (which, being the oracle, is bit-identical by definition).
-
-        ``common_destination`` marks the every-entry-targets-one-node
-        shape (:meth:`unicast_batch`): the receiver's registration and
-        liveness are then checked once for the whole batch -- valid
-        because no event can run between the entries of one batch.
-        """
-        if (
-            self.config.jitter > 0
+            config.jitter > 0
             or len(entries) < _VECTOR_MIN
             or self._spans.enabled
         ):
-            # Span collection routes every batch through the oracle
-            # loop: each message then carries its own radio.transmit
-            # span as the causal context of its own delivery event.
-            # Bit-identical by the batch-equivalence guarantee above.
+            # With jitter on, the oracle interleaves a loss draw and a
+            # jitter draw per message on the "channel" stream, an order
+            # one vector draw cannot reproduce; span collection gives
+            # each message its own radio.transmit span as the causal
+            # context of its own delivery event.  Either way the
+            # per-message loop runs -- the oracle itself.
             return [
                 self.unicast(sender, destination, message)
                 for sender, destination, message in entries
             ]
         n = len(entries)
-        self.sent += n
-        nodes = self._nodes
         link_loss = self._link_loss
-        default_loss = self.config.loss_probability
-        range_limit = self.config.range_limit
+        range_limit = config.range_limit
         outcomes: List[Optional[DeliveryOutcome]] = [None] * n
-        receivers: List[Optional[NetworkNode]] = [None] * n
         pend_idx: List[int] = []
         pend_loss: List[float] = []
-
-        if common_destination is not None:
-            shared = nodes.get(common_destination)
-            if shared is None:
-                outcomes = [_UNKNOWN_DESTINATION] * n
-            elif not shared.alive:
-                outcomes = [_DEAD_RECEIVER] * n
-            elif range_limit is None and not link_loss:
-                # The sweep shape: one live CH, unlimited range, uniform
-                # loss -- every entry pends with the default probability.
-                receivers = [shared] * n
-                pend_idx = list(range(n))
-                pend_loss = [default_loss] * n
-            else:
-                for i, (sender, destination, message) in enumerate(entries):
-                    if range_limit is not None and not self._in_range(
-                        sender, shared
-                    ):
-                        outcomes[i] = _OUT_OF_RANGE
-                        continue
-                    receivers[i] = shared
-                    pend_idx.append(i)
-                    pend_loss.append(
-                        link_loss.get(
-                            (sender.node_id, destination), default_loss
-                        )
-                        if link_loss
-                        else default_loss
-                    )
+        receiver = nodes.get(destination)
+        if receiver is None:
+            outcomes = [_UNKNOWN_DESTINATION] * n
+        elif not receiver.alive:
+            outcomes = [_DEAD_RECEIVER] * n
+        elif range_limit is None and not link_loss:
+            # The sweep shape: one live CH, unlimited range, uniform
+            # loss -- every entry pends with the default probability.
+            pend_idx = list(range(n))
+            pend_loss = [config.loss_probability] * n
         else:
-            for i, (sender, destination, message) in enumerate(entries):
-                receiver = nodes.get(destination)
-                if receiver is None:
-                    outcomes[i] = _UNKNOWN_DESTINATION
-                elif not receiver.alive:
-                    outcomes[i] = _DEAD_RECEIVER
-                elif range_limit is not None and not self._in_range(
-                    sender, receiver
-                ):
+            for i, (sender, _destination, _message) in enumerate(entries):
+                if not self._in_range(sender, receiver):
                     outcomes[i] = _OUT_OF_RANGE
-                else:
-                    receivers[i] = receiver
-                    pend_idx.append(i)
-                    pend_loss.append(
-                        link_loss.get(
-                            (sender.node_id, destination), default_loss
-                        )
-                        if link_loss
-                        else default_loss
-                    )
+                    continue
+                pend_idx.append(i)
+                pend_loss.append(self._loss_for(sender.node_id, destination))
 
         # One vectorised draw consumes the "channel" stream exactly as
         # len(pend_idx) sequential scalar draws would (PCG64 guarantees
@@ -550,30 +451,21 @@ class RadioChannel:
         # preserved.  Interceptors are then consulted in message order,
         # preserving the "chaos" stream's order too.
         verdicts: Dict[int, Intercept] = {}
-        n_ok = 0
-        if pend_idx:
-            if (
-                self._interceptor is None
-                and default_loss == 0.0
-                and not link_loss
-            ):
-                # Lossless, un-intercepted shape: the draw must still
-                # happen (stream identity -- the oracle consumes one
-                # "channel" draw per pending entry) but no draw in
-                # [0, 1) can fall below a 0.0 threshold, so every entry
-                # survives and the per-draw scan is skipped.
-                self._rng.random(len(pend_idx))
-                n_ok = len(pend_idx)
-                if n_ok == n:
-                    outcomes = [_OK] * n
-                else:
-                    for i in pend_idx:
-                        outcomes[i] = _OK
-                return self._finish_batch(
-                    n, n_ok, entries, outcomes, receivers, verdicts
-                )
+        interceptor = self._interceptor
+        if (
+            pend_idx
+            and interceptor is None
+            and config.loss_probability == 0.0
+            and not link_loss
+        ):
+            # Lossless, un-intercepted shape: the draw must still
+            # happen (stream identity) but no draw in [0, 1) can fall
+            # below a 0.0 threshold, so the per-draw scan is skipped.
+            self._rng.random(len(pend_idx))
+            for i in pend_idx:
+                outcomes[i] = _OK
+        elif pend_idx:
             draws = self._rng.random(len(pend_idx)).tolist()
-            interceptor = self._interceptor
             now = self._sim.now
             for k, i in enumerate(pend_idx):
                 if draws[k] < pend_loss[k]:
@@ -581,7 +473,7 @@ class RadioChannel:
                     continue
                 if interceptor is not None:
                     verdict = interceptor(
-                        entries[i][0].node_id, entries[i][1], now
+                        entries[i][0].node_id, destination, now
                     )
                     if verdict is not None:
                         if verdict.drop:
@@ -589,74 +481,30 @@ class RadioChannel:
                             continue
                         verdicts[i] = verdict
                 outcomes[i] = _OK
-                n_ok += 1
 
-        return self._finish_batch(
-            n, n_ok, entries, outcomes, receivers, verdicts
-        )
-
-    def _finish_batch(
-        self,
-        n: int,
-        n_ok: int,
-        entries: List[Tuple[NetworkNode, int, Message]],
-        outcomes: List[DeliveryOutcome],
-        receivers: List[Optional[NetworkNode]],
-        verdicts: Dict[int, Intercept],
-    ) -> List[DeliveryOutcome]:
-        """Schedule a resolved batch and settle the delivery counters."""
-        sim = self._sim
-        delay = self.config.propagation_delay
-        n_delivered = n_ok
-        drop_tally: Optional[Dict[str, int]] = None
-        if n_delivered == n:
-            # Everything survived: one fused event, no per-entry branch.
-            if not verdicts:
-                self._schedule_fused(
-                    delay,
-                    [
-                        (receivers[i], entries[i][2])
-                        for i in range(n)
-                    ],
-                )
-            else:
-                self._schedule_mixed(delay, entries, receivers, verdicts)
-        else:
-            drop_tally = self._schedule_with_drops(
-                delay, entries, outcomes, receivers, verdicts
-            )
-
-        n_dropped = n - n_delivered
-        self.delivered += n_delivered
-        self.dropped += n_dropped
-        metrics = sim.metrics
-        if metrics.enabled:
-            if self._counter_src is not metrics:
-                self._rebind_counters(metrics)
-            self._c_sent.inc(n)
-            if n_delivered:
-                self._c_delivered.inc(n_delivered)
-            if n_dropped:
-                self._c_dropped.inc(n_dropped)
-                assert drop_tally is not None
-                for reason, count in drop_tally.items():
-                    self._drop_counter(reason).inc(count)
-        return outcomes
-
-    def _schedule_mixed(
-        self,
-        delay: float,
-        entries: List[Tuple[NetworkNode, int, Message]],
-        receivers: List[Optional[NetworkNode]],
-        verdicts: Dict[int, Intercept],
-    ) -> None:
-        """Schedule an all-delivered batch containing intercept verdicts."""
-        sim = self._sim
+        delay = config.propagation_delay
+        drops: Dict[str, int] = {}
         fused: List[Tuple[NetworkNode, Message]] = []
-        for i, (_sender, _destination, message) in enumerate(entries):
+        trace = self._sim.trace
+        trace_on = trace.enabled or trace.count_when_disabled
+        for i, (sender, _destination, message) in enumerate(entries):
+            outcome = outcomes[i]
+            if not outcome.delivered:
+                reason = outcome.reason
+                drops[reason] = drops.get(reason, 0) + 1
+                if trace_on:
+                    trace.emit(
+                        self._sim.now,
+                        "radio.drop",
+                        sender=sender.node_id,
+                        destination=destination,
+                        reason=reason,
+                        message=type(message).__name__,
+                    )
+                continue
             verdict = verdicts.get(i)
             if verdict is None:
-                fused.append((receivers[i], message))
+                fused.append((receiver, message))
                 continue
             # Flush the fused buffer first so the intercepted copies
             # keep their same-instant sequence ordering relative to the
@@ -666,55 +514,97 @@ class RadioChannel:
                 fused = []
             label = _deliver_label(type(message))
             for extra in verdict.extra_delays:
-                sim.after(delay + extra, self._deliver, receivers[i],
-                          message, label=label)
+                self._sim.after(delay + extra, self._deliver, receiver,
+                                message, label=label)
         if fused:
             self._schedule_fused(delay, fused)
+        self._settle(n, n - sum(drops.values()), drops)
+        return outcomes
 
-    def _schedule_with_drops(
-        self,
-        delay: float,
-        entries: List[Tuple[NetworkNode, int, Message]],
-        outcomes: List[DeliveryOutcome],
-        receivers: List[Optional[NetworkNode]],
-        verdicts: Dict[int, Intercept],
-    ) -> Dict[str, int]:
-        """Schedule a batch with at least one drop; returns the tally."""
-        sim = self._sim
-        trace = sim.trace
-        trace_on = trace.enabled or trace.count_when_disabled
-        now = sim.now
-        drop_tally: Dict[str, int] = {}
-        fused: List[Tuple[NetworkNode, Message]] = []
-        for i, (sender, destination, message) in enumerate(entries):
-            outcome = outcomes[i]
-            if outcome.delivered:
-                verdict = verdicts.get(i)
-                if verdict is None:
-                    fused.append((receivers[i], message))
-                else:
-                    if fused:
-                        self._schedule_fused(delay, fused)
-                        fused = []
-                    label = _deliver_label(type(message))
-                    for extra in verdict.extra_delays:
-                        sim.after(delay + extra, self._deliver,
-                                  receivers[i], message, label=label)
-            else:
-                reason = outcome.reason
-                drop_tally[reason] = drop_tally.get(reason, 0) + 1
-                if trace_on:
-                    trace.emit(
-                        now,
-                        "radio.drop",
-                        sender=sender.node_id,
-                        destination=destination,
-                        reason=reason,
-                        message=type(message).__name__,
-                    )
-        if fused:
-            self._schedule_fused(delay, fused)
-        return drop_tally
+    def broadcast(self, sender: NetworkNode, message: Message) -> int:
+        """Transmit to every other live endpoint; returns deliveries started.
+
+        Each receiver suffers an independent loss trial, matching a
+        contention-free broadcast over independent fading links.  The
+        trials are one vector draw on the ``"channel"`` stream -- one
+        draw per live receiver in ascending id order, none for dead
+        ones, exactly as the per-message oracle consumes it -- and the
+        surviving fan-out is one delivery event.  A CH decision
+        announcement is handed only to the receivers that react to it
+        (see :attr:`NetworkNode.hears_only_own_announcements`).
+        Interceptors, spans, taps, jitter, range limits and a recording
+        or counting trace all need per-receiver work, so they take the
+        per-message oracle instead.
+        """
+        sender_id = sender.node_id
+        fan = self._fanout(sender_id)
+        nodes = fan.nodes
+        config = self.config
+        trace = self._sim.trace
+        if (
+            self._interceptor is not None
+            or self._spans.enabled
+            or self._taps
+            or config.jitter > 0
+            or config.range_limit is not None
+            or trace.enabled
+            or trace.count_when_disabled
+        ):
+            return sum(
+                1 for node in nodes
+                if self.unicast(sender, node.node_id, message).delivered
+            )
+        n = len(nodes)
+        alive = list(map(_ALIVE, nodes))
+        n_live = alive.count(True)
+        loss = config.loss_probability
+        if self._link_loss:
+            loss = np.array([
+                self._loss_for(sender_id, node.node_id) for node in nodes
+            ])
+        if n_live == n:
+            blocked = self._rng.random(n) < loss
+            n_lost = int(np.count_nonzero(blocked))
+        else:
+            live = np.array(alive, dtype=bool)
+            lost = self._rng.random(n_live) < (
+                loss if np.isscalar(loss) else loss[live]
+            )
+            n_lost = int(np.count_nonzero(lost))
+            blocked = ~live
+            blocked[live] = lost
+        n_ok = n_live - n_lost
+        if n_ok:
+            self._sim.after(
+                config.propagation_delay, self._deliver_broadcast, message,
+                fan, blocked.tolist() if n_ok < n else None,
+                label=_FUSED_LABEL,
+            )
+        self._settle(
+            n, n_ok, {"dead-receiver": n - n_live, "dropped": n_lost}
+        )
+        return n_ok
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _settle(self, n: int, n_ok: int, drops: Dict[str, int]) -> None:
+        """Count ``n`` sends: ``n_ok`` delivered, ``drops`` by reason."""
+        self.sent += n
+        self.delivered += n_ok
+        self.dropped += n - n_ok
+        metrics = self._sim.metrics
+        if metrics.enabled:
+            if self._counter_src is not metrics:
+                self._rebind_counters(metrics)
+            self._c_sent.inc(n)
+            if n_ok:
+                self._c_delivered.inc(n_ok)
+            if n_ok < n:
+                self._c_dropped.inc(n - n_ok)
+            for reason, count in drops.items():
+                if count:
+                    self._drop_counter(reason).inc(count)
 
     def _schedule_fused(
         self, delay: float, deliveries: List[Tuple[NetworkNode, Message]]
@@ -726,6 +616,47 @@ class RadioChannel:
         else:
             self._sim.after(delay, self._deliver_fused, deliveries,
                             label=_FUSED_LABEL)
+
+    def _fanout(self, sender_id: int) -> _Fanout:
+        fan = self._fanouts.get(sender_id)
+        if fan is None:
+            nodes = [
+                node for node_id, node in sorted(self._nodes.items())
+                if node_id != sender_id
+            ]
+            fan = self._fanouts[sender_id] = _Fanout(
+                nodes,
+                tuple(
+                    i for i, node in enumerate(nodes)
+                    if not node.hears_only_own_announcements
+                ),
+                {node.node_id: i for i, node in enumerate(nodes)},
+            )
+        return fan
+
+    def _deliver_broadcast(
+        self,
+        message: Message,
+        fan: _Fanout,
+        blocked: Optional[List[bool]],
+    ) -> None:
+        """Deliver one broadcast to its survivors (``blocked[i]``: lost)."""
+        trace = self._sim.trace
+        if (
+            isinstance(message, ChDecisionAnnouncement)
+            and not self._taps
+            and not (trace.enabled or trace.count_when_disabled)
+        ):
+            order = fan.listeners(message)
+        else:
+            # The handlers skipped above are no-ops, but trace records
+            # and tap copies are per receiver, so every survivor is
+            # delivered while either is on.
+            order = range(len(fan.nodes))
+        if blocked is not None:
+            order = [i for i in order if not blocked[i]]
+        nodes = fan.nodes
+        self._deliver_fused([(nodes[i], message) for i in order])
 
     def _deliver_fused(
         self, deliveries: List[Tuple[NetworkNode, Message]]

@@ -17,11 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.network.geometry import Point, Region
-from repro.network.messages import (
-    ChDecisionAnnouncement,
-    EventReportMessage,
-    Message,
-)
+from repro.network.messages import EventReportMessage, Message
 from repro.network.node import NetworkNode
 from repro.sensors.faults import Level2Behavior, NodeBehavior
 from repro.sensors.generator import GroundTruthEvent
@@ -46,6 +42,10 @@ class SensorNode(NetworkNode):
     rng:
         This node's private randomness.
     """
+
+    #: Only a verdict naming this node feeds its behaviour, so the
+    #: channel skips it for every other CH announcement.
+    hears_only_own_announcements = True
 
     def __init__(
         self,
@@ -144,30 +144,12 @@ class SensorNode(NetworkNode):
     # Radio
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
-        # Inlined decision observation: this runs once per node per CH
-        # broadcast, the hottest receiver path in a sweep.  The trust
-        # update rule is deterministic given the verdict and the node's
-        # own role, so the node can replay it exactly: reporters are
-        # rewarded iff the event was upheld, non-reporters iff it was
-        # rejected.
-        if self.feedback_enabled and isinstance(
-            message, ChDecisionAnnouncement
-        ):
-            node_id = self.node_id
-            reporters, non_reporters = message.participant_sets()
-            if node_id in reporters:
-                self.behavior.observe_outcome(rewarded=message.occurred)
-            elif node_id in non_reporters:
-                self.behavior.observe_outcome(rewarded=not message.occurred)
-
-    def _observe_decision(self, message: ChDecisionAnnouncement) -> None:
-        """Compatibility shim for tests; :meth:`on_message` inlines this."""
-        if not self.feedback_enabled:
-            return
-        if self.node_id in message.reporters:
-            self.behavior.observe_outcome(rewarded=message.occurred)
-        elif self.node_id in message.non_reporters:
-            self.behavior.observe_outcome(rewarded=not message.occurred)
+        # The trust update rule is deterministic given the verdict and
+        # the node's own role, so the node can replay it exactly.
+        if self.feedback_enabled:
+            rewarded = message.outcome_for(self.node_id)
+            if rewarded is not None:
+                self.behavior.observe_outcome(rewarded=rewarded)
 
     def _compose(
         self, claimed_location: Point, event_id: Optional[int]

@@ -109,6 +109,26 @@ class _ApiError(Exception):
         self.status = status
 
 
+def _parse_int(value: object, what: str) -> int:
+    """``int(value)``, or a 400 naming ``what`` when it is not a number."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _ApiError(
+            400, f"{what} must be an integer, got {value!r}"
+        ) from None
+
+
+def _parse_float(value: object, what: str) -> float:
+    """``float(value)``, or a 400 naming ``what`` when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise _ApiError(
+            400, f"{what} must be a number, got {value!r}"
+        ) from None
+
+
 class TrustServiceHandler(BaseHTTPRequestHandler):
     """Request handler; the server instance carries the manager."""
 
@@ -209,19 +229,22 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             reports = doc.get("reports")
             if not isinstance(reports, list):
                 raise _ApiError(400, 'body must carry a "reports" list')
+            parsed = []
+            for report in reports:
+                if not isinstance(report, dict) or "node" not in report:
+                    raise _ApiError(
+                        400, 'each report needs at least a "node" field'
+                    )
+                parsed.append((
+                    _parse_int(report["node"], "report node"),
+                    report.get("x"),
+                    report.get("y"),
+                    _parse_float(report.get("time", 0.0), "report time"),
+                ))
             accepted = dropped = 0
             with self.manager.locked(key) as session:
-                for report in reports:
-                    if not isinstance(report, dict) or "node" not in report:
-                        raise _ApiError(
-                            400, 'each report needs at least a "node" field'
-                        )
-                    ok = session.ingest(
-                        int(report["node"]),
-                        x=report.get("x"),
-                        y=report.get("y"),
-                        time=float(report.get("time", 0.0)),
-                    )
+                for node, x, y, t in parsed:
+                    ok = session.ingest(node, x=x, y=y, time=t)
                     accepted += ok
                     dropped += not ok
                 pending = session.pending_reports()
@@ -232,16 +255,19 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             return
         if (method, action) == ("POST", "close"):
             doc = self._read_json()
-            now = float(doc.get("time", 0.0))
+            now = _parse_float(doc.get("time", 0.0), "close time")
             with self.manager.locked(key) as session:
                 records = session.close_window(now=now)
                 decisions = [_decision_to_dict(record) for record in records]
             self._send_json(200, {"decisions": decisions})
             return
         if (method, action) == ("GET", "ti"):
+            node = (
+                _parse_int(query["node"][0], "?node")
+                if "node" in query else None
+            )
             with self.manager.locked(key, create=False) as session:
-                if "node" in query:
-                    node = int(query["node"][0])
+                if node is not None:
                     try:
                         ti = session.query_ti(node)
                     except KeyError:
@@ -257,7 +283,10 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
             self._send_json(200, {"diagnosed": diagnosed})
             return
         if (method, action) == ("GET", "decisions"):
-            since = int(query["since"][0]) if "since" in query else 0
+            since = (
+                _parse_int(query["since"][0], "?since")
+                if "since" in query else 0
+            )
             with self.manager.locked(key, create=False) as session:
                 decisions = [
                     d

@@ -111,3 +111,21 @@ class TestRunEquivalence:
             monkeypatch,
         )
         assert batched == oracle
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_untraced_run_fuses_announcements_bit_identically(
+        self, level, monkeypatch
+    ):
+        # The runs above record a trace, which keeps every broadcast on
+        # the per-message path; without one, each CH announcement is a
+        # single fused delivery to the nodes it names.  Level-1 and
+        # level-2 liars act on those announcements.
+        batched, oracle = _paired(
+            lambda: location_run(
+                tracing=False,
+                fault_spec=FaultSpec(level=level, drop_rate=0.2, sigma=6.0),
+            ),
+            12,
+            monkeypatch,
+        )
+        assert batched == oracle

@@ -1,12 +1,20 @@
 """Unit tests for the lossy radio channel."""
 
+import copy
+
 import pytest
 
 from repro.network.geometry import Point
-from repro.network.messages import EventReportMessage, Message
+from repro.network.messages import (
+    ChAdvertisement,
+    ChDecisionAnnouncement,
+    EventReportMessage,
+    Message,
+)
 from repro.network.node import NetworkNode
 from repro.network.radio import ChannelConfig, RadioChannel
 from repro.simkernel.simulator import Simulator
+from repro.simkernel.trace import noop_trace
 
 
 class Recorder(NetworkNode):
@@ -20,8 +28,9 @@ class Recorder(NetworkNode):
         self.received.append(message)
 
 
-def make_net(loss=0.0, delay=0.001, range_limit=None, seed=1, n=3):
-    sim = Simulator(seed=seed)
+def make_net(loss=0.0, delay=0.001, range_limit=None, seed=1, n=3,
+             trace=None):
+    sim = Simulator(seed=seed, trace=trace)
     channel = RadioChannel(
         sim,
         ChannelConfig(
@@ -48,13 +57,32 @@ class TestDelivery:
         assert sim.now == pytest.approx(0.5)
 
     def test_broadcast_reaches_all_other_nodes(self):
-        sim, channel, nodes = make_net(n=5)
-        started = channel.broadcast(nodes[2], EventReportMessage(sender=2))
-        sim.run()
-        assert started == 4
-        assert nodes[2].received == []
-        for i in (0, 1, 3, 4):
-            assert len(nodes[i].received) == 1
+        # A recording trace takes the per-message path; without one the
+        # broadcast is a single fused delivery.  Both must reach every
+        # live receiver with any message type, the verdict included
+        # (these endpoints are not sensors, so every verdict concerns
+        # them), and draw once per live receiver.
+        for trace in (None, noop_trace()):
+            for message_type in (
+                EventReportMessage, ChAdvertisement, ChDecisionAnnouncement
+            ):
+                sim, channel, nodes = make_net(n=8, trace=trace)
+                nodes[5].kill()
+                expected_stream = copy.deepcopy(sim.streams.get("channel"))
+                expected_stream.random(6)
+                started = channel.broadcast(nodes[2], message_type(sender=2))
+                sim.run()
+                assert started == 6
+                assert nodes[2].received == [] and nodes[5].received == []
+                for i in (0, 1, 3, 4, 6, 7):
+                    assert len(nodes[i].received) == 1
+                assert (
+                    channel.sent, channel.delivered, channel.dropped
+                ) == (7, 6, 1)
+                assert (
+                    sim.streams.get("channel").bit_generator.state
+                    == expected_stream.bit_generator.state
+                )
 
     def test_unknown_destination_reported(self):
         _sim, channel, nodes = make_net()

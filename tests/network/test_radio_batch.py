@@ -9,10 +9,11 @@ path and the other through a hand-rolled per-message loop, and compares
 everything observable.
 """
 
+import numpy as np
 import pytest
 
 from repro.network.geometry import Point
-from repro.network.messages import EventReportMessage
+from repro.network.messages import ChDecisionAnnouncement, EventReportMessage
 from repro.network.node import NetworkNode
 from repro.network.radio import (
     ChannelConfig,
@@ -21,7 +22,11 @@ from repro.network.radio import (
     _VECTOR_MIN,
 )
 from repro.obs.registry import MetricsRegistry
+from repro.sensors.faults import CorrectBehavior
+from repro.sensors.node import SensorNode
+from repro.sensors.sensing import SensingConfig, SensingModel
 from repro.simkernel.simulator import Simulator
+from repro.simkernel.trace import noop_trace
 
 
 class Recorder(NetworkNode):
@@ -461,3 +466,108 @@ class TestSatellites:
         )
         sim.run()
         assert [m.sender for m in nodes[5].received] == sender_ids
+
+
+class OutcomeLog(CorrectBehavior):
+    """A behaviour that logs every outcome it observes, tagged."""
+
+    def __init__(self, sensing, log, tag):
+        super().__init__(sensing)
+        self.log = log
+        self.tag = tag
+
+    def observe_outcome(self, rewarded):
+        self.log.append((self.tag, rewarded))
+
+
+CH_ID, BS_ID = 100, 200
+
+
+def make_sensor_net(seed, loss):
+    """Forty sensors plus two non-sensor recorders, trace off.
+
+    With no trace, taps, spans or interceptor, ``broadcast`` takes the
+    fused path; :func:`oracle_broadcast` drives the same network through
+    per-message :meth:`RadioChannel.unicast` instead.
+    """
+    sim = Simulator(seed=seed, trace=noop_trace())
+    channel = RadioChannel(
+        sim, ChannelConfig(loss_probability=loss, propagation_delay=1.0)
+    )
+    sensing = SensingModel(SensingConfig(sensing_radius=20.0))
+    logs = {}
+    sensors = []
+    for i in range(40):
+        logs[i] = []
+        node = SensorNode(
+            i, Point(float(i), 0.0), OutcomeLog(sensing, logs[i], "a"),
+            sensing, ch_id=CH_ID, rng=np.random.default_rng(i),
+        )
+        channel.register(node)
+        sensors.append(node)
+    ch, bs = Recorder(CH_ID), Recorder(BS_ID)
+    channel.register(ch)
+    channel.register(bs)
+    return sim, channel, sensors, ch, bs, logs, sensing
+
+
+class TestFusedAnnouncementDifferential:
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("loss", [0.0, 0.2])
+    def test_fused_announcements_match_per_message_unicast(self, seed, loss):
+        nets = [make_sensor_net(seed, loss) for _ in range(2)]
+        scenario = np.random.default_rng(seed)
+        # Per-link overrides (lossless, fully lossy, partly lossy) and
+        # receivers dead before transmission.
+        links = scenario.choice(40, size=3, replace=False).tolist()
+        dead = scenario.choice(40, size=4, replace=False).tolist()
+        for _sim, channel, sensors, _ch, _bs, _logs, _sensing in nets:
+            for node_id, p in zip(links, (0.0, 1.0, 0.6)):
+                channel.set_link_loss(CH_ID, node_id, p)
+            for node_id in dead:
+                sensors[node_id].kill()
+
+        for round_number in range(12):
+            ids = scenario.permutation(40).tolist()
+            reporters = tuple(sorted(ids[:8]))
+            non_reporters = tuple(sorted(ids[8:14]))
+            occurred = bool(scenario.random() < 0.5)
+            # Between transmit and delivery two reporters and a
+            # non-reporter change: one dies in flight, one is
+            # compromised and one has its feedback toggled.  Delivery
+            # must see all three changes.
+            killed, swapped, toggled = ids[0], ids[1], ids[8]
+            for sim, channel, sensors, ch, bs, logs, sensing in nets:
+                message = ChDecisionAnnouncement(
+                    sender=CH_ID, decision_id=round_number,
+                    occurred=occurred, reporters=reporters,
+                    non_reporters=non_reporters,
+                )
+                if channel is nets[0][1]:
+                    started = channel.broadcast(ch, message)
+                    # The whole fan-out rides one delivery event.
+                    assert sim.pending == (1 if started else 0)
+                else:
+                    oracle_broadcast(channel, ch, message)
+                node = sensors[toggled]
+                sim.after(0.5, setattr, node, "feedback_enabled",
+                          not node.feedback_enabled)
+                sim.after(0.5, sensors[swapped].compromise,
+                          OutcomeLog(sensing, logs[swapped], round_number))
+                sim.after(0.5, sensors[killed].kill)
+                sim.run()
+
+        fused, oracle = nets
+        assert fused[5] == oracle[5]  # per-node observe_outcome sequences
+        assert any(fused[5].values())
+        assert channel_state(fused[1]) == channel_state(oracle[1])
+        assert (
+            fused[0].streams.get("channel").bit_generator.state
+            == oracle[0].streams.get("channel").bit_generator.state
+        )
+        # The non-sensor endpoint hears every announcement it survives.
+        assert [m.decision_id for m in fused[4].received] == [
+            m.decision_id for m in oracle[4].received
+        ]
+        assert fused[4].received
+

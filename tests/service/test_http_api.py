@@ -168,3 +168,54 @@ class TestErrors:
         assert status == 404
         status, _ = call(base, "GET", "/v1/sessions/t/unknown")
         assert status == 404
+
+
+class TestNonNumericInput:
+    """A field that is not a number is a 400 naming it, never a reset."""
+
+    def test_report_node_and_time(self, server):
+        base, manager = server
+        for report in (
+            {"node": "seven", "x": 15.0, "y": 15.0},
+            {"node": [1], "x": 15.0, "y": 15.0},
+            {"node": 1, "x": 15.0, "y": 15.0, "time": "noon"},
+        ):
+            status, doc = call(
+                base, "POST", "/v1/sessions/t/reports",
+                {"reports": [{"node": 0, "x": 15.0, "y": 15.0}, report]},
+            )
+            assert status == 400, report
+            assert "report" in doc["error"]
+        # The batch is rejected whole: nothing was ingested, and the
+        # session was never created.
+        assert manager.keys() == []
+
+    def test_close_time(self, server):
+        base, _ = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        status, doc = call(
+            base, "POST", "/v1/sessions/t/close", {"time": "later"}
+        )
+        assert status == 400
+        assert "close time" in doc["error"]
+        status, doc = call(base, "POST", "/v1/sessions/t/close", {"time": 1})
+        assert status == 200
+        assert len(doc["decisions"]) == 1
+
+    def test_ti_node_query(self, server):
+        base, _ = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        status, doc = call(base, "GET", "/v1/sessions/t/ti?node=abc")
+        assert status == 400
+        assert "?node" in doc["error"]
+        status, doc = call(base, "GET", "/v1/sessions/t/ti?node=0")
+        assert status == 200
+
+    def test_decisions_since_query(self, server):
+        base, _ = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        status, doc = call(base, "GET", "/v1/sessions/t/decisions?since=abc")
+        assert status == 400
+        assert "?since" in doc["error"]
+        status, doc = call(base, "GET", "/v1/sessions/t/decisions?since=0")
+        assert status == 200
