@@ -82,23 +82,12 @@ def git_sha() -> "str | None":
     return sha if out.returncode == 0 and sha else None
 
 
-def queue_backend() -> str:
-    """The scheduler backend the bench subprocess will resolve."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.simkernel.calqueue import resolve_queue_backend
-
-        return resolve_queue_backend()
-    finally:
-        sys.path.pop(0)
-
-
 def cmd_save(args: argparse.Namespace) -> int:
     medians = run_benches()
     baseline = {
         "note": "median ns/op per kernel microbench; see `make bench-compare`",
         "git_sha": git_sha(),
-        "queue_backend": queue_backend(),
+        "queue_backend": "heap",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "benchmarks": {name: round(ns, 1) for name, ns in sorted(medians.items())},

@@ -66,13 +66,6 @@ def git_sha() -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
-def queue_backend() -> str:
-    """The scheduler backend these numbers were measured under."""
-    from repro.simkernel.calqueue import resolve_queue_backend
-
-    return resolve_queue_backend()
-
-
 def decision_backend() -> str:
     """The CH decision backend these numbers were measured under."""
     from repro.core.decision_kernel import resolve_decision_backend
@@ -178,7 +171,7 @@ def cmd_save(args: argparse.Namespace) -> int:
         ),
         "label": args.label,
         "git_sha": git_sha(),
-        "queue_backend": queue_backend(),
+        "queue_backend": "heap",
         "decision_backend": decision_backend(),
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -246,10 +239,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"unknown bench(es): {', '.join(unknown)}; "
             f"choose from {', '.join(BENCHES)}"
         )
-    print(
-        f"queue_backend={queue_backend()} "
-        f"decision_backend={decision_backend()}"
-    )
+    print(f"decision_backend={decision_backend()}")
     for name in names:
         fn = BENCHES[name]
         fn()  # warm-up, unprofiled

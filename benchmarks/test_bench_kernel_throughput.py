@@ -349,9 +349,9 @@ def test_broadcast_throughput(benchmark):
     assert sent >= 100 * 99
 
 
-def _chain_10k(backend):
-    """Schedule-and-fire cost for 10k chained events on one backend."""
-    sim = Simulator(seed=0, queue=backend)
+def _chain_10k():
+    """Schedule-and-fire cost for 10k chained events."""
+    sim = Simulator(seed=0)
     remaining = [10_000]
 
     def tick():
@@ -364,26 +364,16 @@ def _chain_10k(backend):
     return sim.events_fired
 
 
-def test_kernel_chain_calendar(benchmark):
-    """The 10k event chain pinned to the calendar-queue backend."""
-    fired = benchmark(_chain_10k, "calendar")
-    assert fired == 10_000
-
-
 def test_kernel_chain_heap(benchmark):
-    """The 10k event chain pinned to the heap oracle, for the ratio."""
-    fired = benchmark(_chain_10k, "heap")
+    """The 10k event chain through the heap scheduler."""
+    fired = benchmark(_chain_10k)
     assert fired == 10_000
 
 
-def _periodic_timers(backend):
-    """64 interleaved periodic timers x ~160 firings each.
-
-    The calendar backend re-arms a periodic timer in place (the fused
-    ``rearm`` path recycles the arena slot); the heap pays a fresh
-    push per firing.  This bench tracks that gap.
-    """
-    sim = Simulator(seed=0, queue=backend)
+def _periodic_timers():
+    """64 interleaved periodic timers x ~160 firings each: one fresh
+    heap push per firing."""
+    sim = Simulator(seed=0)
     fired = [0]
 
     def tick():
@@ -395,24 +385,18 @@ def _periodic_timers(backend):
     return fired[0]
 
 
-def test_kernel_periodic_calendar(benchmark):
-    fired = benchmark(_periodic_timers, "calendar")
-    assert fired == 64 * 160
-
-
 def test_kernel_periodic_heap(benchmark):
-    fired = benchmark(_periodic_timers, "heap")
+    fired = benchmark(_periodic_timers)
     assert fired == 64 * 160
 
 
-def _cancel_heavy(backend):
+def _cancel_heavy():
     """Schedule 20k events, cancel half before they fire.
 
     Mirrors collection-window churn: a decision cancels the window's
-    pending timeout.  The calendar backend must both skip tombstones
-    during bucket scans and reclaim slots through the purge path.
+    pending timeout, and the heap discards the tombstones lazily on pop.
     """
-    sim = Simulator(seed=0, queue=backend)
+    sim = Simulator(seed=0)
     fired = [0]
 
     def tick():
@@ -427,13 +411,8 @@ def _cancel_heavy(backend):
     return fired[0]
 
 
-def test_kernel_cancel_heavy_calendar(benchmark):
-    fired = benchmark(_cancel_heavy, "calendar")
-    assert fired == 10_000
-
-
 def test_kernel_cancel_heavy_heap(benchmark):
-    fired = benchmark(_cancel_heavy, "heap")
+    fired = benchmark(_cancel_heavy)
     assert fired == 10_000
 
 

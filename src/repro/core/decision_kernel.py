@@ -21,10 +21,9 @@ Experiment-4 sweep point.  This module is the flat-array replacement:
   neighbour ids from
   :meth:`~repro.network.topology.Deployment.event_neighbors_array`.
 
-Backend selection follows the scheduler's pattern
-(``repro.simkernel.calqueue``): ``TIBFIT_DECISION=array`` (default)
-runs this kernel, ``TIBFIT_DECISION=object`` runs the retained object
-pipeline.  The object path is the bit-identity oracle -- the randomized
+Backend selection: ``TIBFIT_DECISION=array`` (default) runs this
+kernel, ``TIBFIT_DECISION=object`` runs the retained object pipeline.
+The object path is the bit-identity oracle -- the randomized
 and property differential suites (``tests/core/test_decision_kernel.py``,
 ``tests/property/test_decision_kernel_properties.py``) assert both
 backends produce identical decisions, supporter/dissenter tuples,

@@ -8,6 +8,7 @@ events detected by the CH within r_error of the actual event".
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -172,15 +173,31 @@ def score_run(
         else round_interval
     )
 
+    # Upheld decisions, as log indices sorted by time (stable, so equal
+    # times keep log order); each window is two bisections over
+    # ``times``.  A NaN-timed decision fails every window comparison,
+    # so leaving it out is exact and keeps ``times`` totally ordered.
+    order = sorted(
+        (
+            i for i, d in enumerate(decisions)
+            if d.occurred and d.time == d.time
+        ),
+        key=lambda i: decisions[i].time,
+    )
+    times = [decisions[i].time for i in order]
+
     outcomes: List[EventOutcome] = []
     used_decision_ids: set = set()
     for event in events:
+        # bisect_left on both ends reproduces
+        # ``event.time <= d.time < event.time + event_deadline``.
+        lo = bisect_left(times, event.time)
+        hi = bisect_left(times, event.time + event_deadline, lo)
+        # Candidates are visited in log order, as a full scan would.
         window_decisions = [
             d
-            for d in decisions
-            if event.time <= d.time < event.time + event_deadline
-            and d.occurred
-            and d.decision_id not in used_decision_ids
+            for d in (decisions[i] for i in sorted(order[lo:hi]))
+            if d.decision_id not in used_decision_ids
         ]
         detected = False
         error: Optional[float] = None
@@ -212,14 +229,18 @@ def score_run(
 
     false_positives = 0
     if quiet_window_offset is not None:
-        event_times = sorted({e.time for e in events})
-        for d in decisions:
-            if not d.occurred or d.decision_id in used_decision_ids:
+        # Quiet windows ``[t + offset, t + round_interval)``: both ends
+        # are non-decreasing in t, so of the windows starting at or
+        # before a decision, the last one ends latest and alone decides
+        # whether the decision falls in a quiet window.
+        event_times = sorted({e.time for e in events if e.time == e.time})
+        starts = [t + quiet_window_offset for t in event_times]
+        ends = [t + round_interval for t in event_times]
+        for i in order:
+            d = decisions[i]
+            if d.decision_id in used_decision_ids:
                 continue
-            in_quiet = any(
-                t + quiet_window_offset <= d.time < t + round_interval
-                for t in event_times
-            )
-            if in_quiet:
+            k = bisect_right(starts, d.time) - 1
+            if k >= 0 and d.time < ends[k]:
                 false_positives += 1
     return outcomes, false_positives

@@ -15,8 +15,8 @@ Producers and consumers of a causal edge are usually separated by the
 event queue (a report is scheduled now, delivered later).  The token
 that bridges the gap is :attr:`SpanCollector.current` -- the span id of
 "whatever is causally happening right now".  The radio stamps it on the
-delivery event it schedules (both scheduler backends store it in the
-event's ``ctx`` slot and restore it when the callback fires), so by the
+delivery event it schedules (the scheduler stores it in the event's
+``ctx`` slot and restores it when the callback fires), so by the
 time a cluster head handles a message, ``spans.current`` is the
 ``radio.deliver`` span of that very message.  Cross-message edges that
 the queue cannot carry (a message produced in one place, transmitted in
@@ -38,8 +38,8 @@ one attribute check per site and never allocates.  Span emission only
 *reads* simulation state -- never the RNG streams -- so an instrumented
 run is bit-identical to an uninstrumented one
 (:func:`repro.chaos.invariants.run_fingerprint` equality, asserted by
-``tests/experiments/test_observability.py`` under both scheduler and
-both decision backends).
+``tests/experiments/test_observability.py`` under both decision
+backends).
 """
 
 from __future__ import annotations

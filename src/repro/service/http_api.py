@@ -30,6 +30,7 @@ in-process.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
@@ -120,13 +121,29 @@ def _parse_int(value: object, what: str) -> int:
 
 
 def _parse_float(value: object, what: str) -> float:
-    """``float(value)``, or a 400 naming ``what`` when it is not a number."""
+    """``float(value)``, or a 400 naming ``what`` when it is not a
+    finite number.
+
+    JSON bodies can carry ``NaN``, ``Infinity`` and overflowing
+    literals such as ``1e999``; none of them is a usable coordinate or
+    time, so they are rejected here rather than reaching a session.
+    """
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise _ApiError(
             400, f"{what} must be a number, got {value!r}"
         ) from None
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _ApiError(400, f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _parse_optional_float(value: object, what: str) -> Optional[float]:
+    """:func:`_parse_float`, passing an absent (``None``) value through."""
+    return None if value is None else _parse_float(value, what)
 
 
 class TrustServiceHandler(BaseHTTPRequestHandler):
@@ -237,8 +254,8 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
                     )
                 parsed.append((
                     _parse_int(report["node"], "report node"),
-                    report.get("x"),
-                    report.get("y"),
+                    _parse_optional_float(report.get("x"), "report x"),
+                    _parse_optional_float(report.get("y"), "report y"),
                     _parse_float(report.get("time", 0.0), "report time"),
                 ))
             accepted = dropped = 0

@@ -11,7 +11,6 @@ from typing import Any, Callable, Optional
 
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_SPANS
-from repro.simkernel.calqueue import CalendarQueue, resolve_queue_backend
 from repro.simkernel.errors import SchedulingError, SimulationFinished
 from repro.simkernel.events import EventQueue, ScheduledEvent
 from repro.simkernel.rng import RandomStreams
@@ -38,19 +37,14 @@ class Simulator:
     spans:
         Optional :class:`~repro.obs.spans.SpanCollector` for causal
         provenance.  Defaults to the disabled ``NULL_SPANS``.  When
-        enabled, both scheduler backends stamp the collector's
-        causal-context token onto every scheduled event and restore it
-        before the callback fires, so cross-queue causality survives
-        the trip through the scheduler.
-    queue:
-        Scheduler backend: ``"calendar"`` (the default; see
-        :class:`~repro.simkernel.calqueue.CalendarQueue`) or ``"heap"``
-        (the :class:`~repro.simkernel.events.EventQueue` oracle).  When
-        ``None``, ``$TIBFIT_QUEUE`` decides.  Both backends pop events
-        in the identical ``(time, priority, sequence)`` total order, so
-        results are bit-identical either way.  The calendar backend
-        installs instance-level fast paths (a closure ``after`` and a
-        fused run loop); the heap backend uses the generic methods.
+        enabled, the scheduling front-ends stamp the collector's
+        causal-context token onto every scheduled event and the run
+        loop restores it before the callback fires, so cross-queue
+        causality survives the trip through the scheduler.
+
+    Events are held in one :class:`~repro.simkernel.events.EventQueue`
+    (a binary heap), popped in ``(time, priority, sequence)`` order, so
+    ``now`` never decreases.
 
     Examples
     --------
@@ -67,25 +61,13 @@ class Simulator:
         seed: int = 0,
         trace: Optional[TraceLog] = None,
         metrics: Optional[MetricsRegistry] = None,
-        queue: Optional[str] = None,
         spans=None,
     ) -> None:
         self._now = 0.0
-        # Spans must be assigned before the queue backend: the calendar
-        # backend's after() closure captures the collector at build time.
         self.spans = spans if spans is not None else NULL_SPANS
         if self.spans.enabled:
             self.spans.attach_clock(lambda: self._now)
-        self.queue_backend = resolve_queue_backend(queue)
-        if self.queue_backend == "heap":
-            self._queue = EventQueue()
-            self._run_loop = None
-        else:
-            self._queue = CalendarQueue()
-            self._run_loop = self._queue.run_loop
-            # Shadow the class-level after() with the backend's closure:
-            # one call frame from protocol code to an armed arena slot.
-            self.after = self._queue.make_after(self)
+        self._queue = EventQueue()
         self.streams = RandomStreams(seed)
         self.trace = trace if trace is not None else TraceLog()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -150,12 +132,7 @@ class Simulator:
         label: str = "",
         **kwargs: Any,
     ) -> ScheduledEvent:
-        """Schedule ``callback`` after a non-negative ``delay`` from now.
-
-        On the calendar backend this method is shadowed by an
-        instance-level closure with identical signature and semantics
-        (see :meth:`CalendarQueue.make_after`).
-        """
+        """Schedule ``callback`` after a non-negative ``delay`` from now."""
         if delay < 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
         event = self._queue.schedule(
@@ -216,30 +193,26 @@ class Simulator:
             raise SchedulingError("Simulator.run is not reentrant")
         self._running = True
         self._stopped = False
-        run_loop = self._run_loop
         try:
-            if run_loop is not None:
-                run_loop(self, until)
-            else:
-                pop_next = self._queue.pop_next
-                spans = self.spans
-                spans_on = spans.enabled
-                while True:
-                    event = pop_next(until)
-                    if event is None:
-                        break
-                    self._now = event.time
-                    self._events_fired += 1
-                    if spans_on:
-                        # Restore the causal-context token stamped at
-                        # scheduling time (see repro.obs.spans).
-                        spans.current = event.ctx
-                    try:
-                        event.fire()
-                    except SimulationFinished:
-                        break
-                    if self._stopped:
-                        break
+            pop_next = self._queue.pop_next
+            spans = self.spans
+            spans_on = spans.enabled
+            while True:
+                event = pop_next(until)
+                if event is None:
+                    break
+                self._now = event.time
+                self._events_fired += 1
+                if spans_on:
+                    # Restore the causal-context token stamped at
+                    # scheduling time (see repro.obs.spans).
+                    spans.current = event.ctx
+                try:
+                    event.fire()
+                except SimulationFinished:
+                    break
+                if self._stopped:
+                    break
             if until is not None and self._now < until and not self._stopped:
                 self._now = until
         finally:
@@ -309,9 +282,6 @@ class Timer:
         self._handle: Optional[ScheduledEvent] = None
         self._cancelled = False
         self.fired = 0
-        # Calendar backend: re-arm the same arena slot in place each
-        # tick instead of pop+push+new-object (None on the heap).
-        self._rearm = getattr(sim._queue, "rearm", None)
 
     @property
     def cancelled(self) -> bool:
@@ -319,13 +289,6 @@ class Timer:
         return self._cancelled
 
     def _schedule(self, when: float) -> None:
-        handle = self._handle
-        if handle is not None and self._rearm is not None:
-            # The fused path takes a fresh sequence number at exactly
-            # the program point the oracle would re-push, so tie order
-            # against other same-time events is preserved bit-for-bit.
-            if self._rearm(handle, when) is not None:
-                return
         self._handle = self._sim.at(
             when, self._tick, label=self._label or "timer"
         )

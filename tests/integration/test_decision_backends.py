@@ -6,9 +6,8 @@
 :class:`~repro.core.decision_kernel.DecisionKernel`.  Whole simulations
 replayed under both must be bit-identical -- same
 :func:`~repro.chaos.invariants.run_fingerprint`, trust snapshots, trace
-volume, and channel counters -- under *both* event-queue backends, and
-the golden experiment builders must produce byte-equal documents under
-either decision backend.
+volume, and channel counters -- and the golden experiment builders must
+produce byte-equal documents under either decision backend.
 """
 
 import pytest
@@ -16,7 +15,6 @@ import pytest
 from repro.chaos.invariants import run_fingerprint
 from repro.core.decision_kernel import DECISION_ENV
 from repro.experiments.harness import SimulationRun
-from repro.simkernel.calqueue import QUEUE_ENV
 
 from tests.golden.builders import BUILDERS
 
@@ -35,19 +33,15 @@ def location_run(**overrides):
     return SimulationRun(**kwargs)
 
 
-def replay(monkeypatch, decision_backend, queue_backend, rounds=8):
+def replay(monkeypatch, decision_backend, rounds=8):
     monkeypatch.setenv(DECISION_ENV, decision_backend)
-    monkeypatch.setenv(QUEUE_ENV, queue_backend)
     return location_run().run(rounds)
 
 
 class TestBackendFingerprints:
-    @pytest.mark.parametrize("queue_backend", ["heap", "calendar"])
-    def test_array_matches_object_full_replay(
-        self, monkeypatch, queue_backend
-    ):
-        obj = replay(monkeypatch, "object", queue_backend)
-        arr = replay(monkeypatch, "array", queue_backend)
+    def test_array_matches_object_full_replay(self, monkeypatch):
+        obj = replay(monkeypatch, "object")
+        arr = replay(monkeypatch, "array")
 
         assert run_fingerprint(arr) == run_fingerprint(obj)
         assert arr.trust_snapshot() == obj.trust_snapshot()
@@ -64,13 +58,6 @@ class TestBackendFingerprints:
             [strip(d) for d in arr.ch.decisions]
             == [strip(d) for d in obj.ch.decisions]
         )
-
-    def test_array_fingerprint_agrees_across_queue_backends(
-        self, monkeypatch
-    ):
-        heap = replay(monkeypatch, "array", "heap")
-        calendar = replay(monkeypatch, "array", "calendar")
-        assert run_fingerprint(heap) == run_fingerprint(calendar)
 
 
 class TestGoldenBuildersBackendAgnostic:

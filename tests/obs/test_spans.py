@@ -106,6 +106,6 @@ class TestDisabledPath:
         assert touched == []
 
     def test_null_current_reads_zero_for_unconditional_stamps(self):
-        # The calendar queue stamps event.ctx = spans.current without a
-        # guard; the disabled collector must always read 0 there.
+        # A site that stamps event.ctx = spans.current without a guard
+        # must always read 0 from the disabled collector.
         assert NULL_SPANS.current == 0

@@ -1,5 +1,6 @@
 """Smoke tests for the HTTP/JSON front end (in-process server)."""
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -10,9 +11,8 @@ import pytest
 from repro.service.http_api import ServiceConfig, serve
 
 
-@pytest.fixture()
-def server():
-    config = ServiceConfig(mode="location", n_nodes=9, field_side=30.0)
+@contextlib.contextmanager
+def running(config):
     http_server, manager = serve(config, port=0)
     thread = threading.Thread(
         target=http_server.serve_forever, daemon=True
@@ -27,8 +27,25 @@ def server():
         thread.join(timeout=5)
 
 
+@pytest.fixture()
+def server():
+    with running(
+        ServiceConfig(mode="location", n_nodes=9, field_side=30.0)
+    ) as base_and_manager:
+        yield base_and_manager
+
+
 def call(base, method, path, body=None):
     data = None if body is None else json.dumps(body).encode("utf-8")
+    return send(base, method, path, data)
+
+
+def post_raw(base, path, text):
+    """POST a body verbatim, for JSON literals ``json.dumps`` never emits."""
+    return send(base, "POST", path, text.encode("utf-8"))
+
+
+def send(base, method, path, data):
     request = urllib.request.Request(
         base + path,
         data=data,
@@ -219,3 +236,70 @@ class TestNonNumericInput:
         assert "?since" in doc["error"]
         status, doc = call(base, "GET", "/v1/sessions/t/decisions?since=0")
         assert status == 200
+
+
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999")
+
+
+class TestNonFiniteInput:
+    """NaN, infinities and overflowing literals are a 400 naming the
+    field; the batch is rejected whole, so no sender is penalised."""
+
+    @pytest.mark.parametrize("field", ["x", "y", "time"])
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_report_fields(self, server, field, literal):
+        base, manager = server
+        report = {"node": 1, "x": "15.0", "y": "15.0", "time": "0.5"}
+        report[field] = literal
+        body = ", ".join(f'"{k}": {v}' for k, v in report.items())
+        status, doc = post_raw(
+            base, "/v1/sessions/t/reports",
+            '{"reports": [{"node": 0, "x": 15.0, "y": 15.0}, {%s}]}' % body,
+        )
+        assert status == 400
+        assert f"report {field}" in doc["error"]
+        assert "finite" in doc["error"]
+        assert manager.keys() == []
+
+    def test_huge_integer_coordinate(self, server):
+        base, manager = server
+        status, doc = post_raw(
+            base, "/v1/sessions/t/reports",
+            '{"reports": [{"node": 1, "x": 1%s, "y": 15}]}' % ("0" * 400),
+        )
+        assert status == 400
+        assert "report x must be finite" in doc["error"]
+        assert manager.keys() == []
+
+    def test_non_numeric_coordinate(self, server):
+        base, manager = server
+        status, doc = call(
+            base, "POST", "/v1/sessions/t/reports",
+            {"reports": [{"node": 1, "x": 15.0, "y": "north"}]},
+        )
+        assert status == 400
+        assert "report y must be a number" in doc["error"]
+        assert manager.keys() == []
+
+    def test_binary_reports_may_omit_coordinates(self):
+        config = ServiceConfig(mode="binary", n_nodes=9, field_side=30.0)
+        with running(config) as (base, _):
+            status, doc = call(
+                base, "POST", "/v1/sessions/b/reports",
+                {"reports": [{"node": 1, "time": 0.5}]},
+            )
+        assert status == 200
+        assert doc["accepted"] == 1
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    def test_close_time(self, server, literal):
+        base, manager = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        status, doc = post_raw(
+            base, "/v1/sessions/t/close", '{"time": %s}' % literal
+        )
+        assert status == 400
+        assert "close time must be finite" in doc["error"]
+        # The window stays open for a well-formed close.
+        with manager.locked("t") as session:
+            assert session.pending_reports() == 1

@@ -7,7 +7,7 @@ replay_window` on a *bare* session -- no simulator, no radio, no clock
 -- must land in the identical final state: same TIs, same verdict
 timeline, same diagnosed set.  That is the proof the cluster head and
 the service expose one decision engine, and it must hold across both
-``TIBFIT_QUEUE`` and both ``TIBFIT_DECISION`` backends.
+``TIBFIT_DECISION`` backends.
 
 Decision *ids* are compared only within the replay (dense from 1): the
 DES draws from the process-shared allocator, the bare session from its
@@ -22,9 +22,7 @@ from repro.chaos.invariants import run_fingerprint
 from repro.core.decision_kernel import DECISION_ENV
 from repro.experiments.harness import SimulationRun
 from repro.service.session import SessionConfig, TrustSession
-from repro.simkernel.calqueue import QUEUE_ENV
 
-QUEUES = ["heap", "calendar"]
 DECISIONS = ["object", "array"]
 
 
@@ -82,12 +80,8 @@ def replay(run, decision_backend=None):
 
 
 class TestDifferentialReplay:
-    @pytest.mark.parametrize("queue", QUEUES)
     @pytest.mark.parametrize("decision", DECISIONS)
-    def test_location_replay_matches_live_run(
-        self, monkeypatch, queue, decision
-    ):
-        monkeypatch.setenv(QUEUE_ENV, queue)
+    def test_location_replay_matches_live_run(self, monkeypatch, decision):
         monkeypatch.setenv(DECISION_ENV, decision)
         run = des_run("location", journal=True).run(8)
         session = replay(run)
@@ -100,9 +94,7 @@ class TestDifferentialReplay:
             range(1, len(session.decisions) + 1)
         )
 
-    @pytest.mark.parametrize("queue", QUEUES)
-    def test_binary_replay_matches_live_run(self, monkeypatch, queue):
-        monkeypatch.setenv(QUEUE_ENV, queue)
+    def test_binary_replay_matches_live_run(self):
         run = des_run("binary", journal=True).run(12)
         session = replay(run)
 

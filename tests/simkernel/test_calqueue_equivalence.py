@@ -1,32 +1,95 @@
-"""Differential suite: CalendarQueue vs. the heapq EventQueue oracle.
+"""Differential suite: the heapq EventQueue vs. a brute-force reference.
 
-The calendar backend's whole claim is *bit-identity*: every observable
--- pop order, ``len``, ``peek_time``, ``pop_next(until)`` blocking,
-late-cancel semantics, validation errors -- must match the heap oracle
-exactly, so experiments produce identical results under either
-``TIBFIT_QUEUE`` value.  These tests replay the same operation scripts
-against both backends and compare full traces, then pin the
-calendar-specific machinery the oracle has no analogue for: the
-recycled event arena, in-place :meth:`CalendarQueue.rearm`, the
-priority-range guard, and the sorted-burst drain (which only engages
-inside :meth:`CalendarQueue.run_loop`, so those scenarios run through
-the :class:`Simulator`).
+The scheduler's contract is a total fire order on ``(time, priority,
+sequence)`` plus lazy cancellation: every observable -- pop order,
+``len``, ``peek_time``, ``pop_next(until)`` blocking, late-cancel
+semantics, validation errors -- must match a model that simply scans a
+flat list for the smallest live key.  These tests replay the same
+operation scripts against both and compare full traces, then swap the
+reference into a :class:`Simulator` so the run loop, same-instant
+cohorts, ``run(until)`` resumption and periodic timers are checked the
+same way.
+
+(The module name predates the single-scheduler simulator; it is kept so
+the test ids stay stable.)
 """
 
 import random
 
 import pytest
 
-from repro.simkernel.calqueue import CalendarQueue, resolve_queue_backend
 from repro.simkernel.errors import SchedulingError
-from repro.simkernel.events import EventQueue
+from repro.simkernel.events import EventQueue, ScheduledEvent
 from repro.simkernel.simulator import Simulator
-
-BACKENDS = ("heap", "calendar")
 
 
 def _noop():
     pass
+
+
+class _ReferenceQueue:
+    """Linear-scan model of :class:`EventQueue` (no heap, no shortcuts).
+
+    Exposes the same surface the simulator uses (``schedule``,
+    ``pop_next``, ``pop``, ``len``/``bool``) plus ``push`` and
+    ``peek_time`` for the queue-level scripts.
+    """
+
+    def __init__(self):
+        self._events = []
+        self._sequence = 0
+
+    def __len__(self):
+        return sum(1 for e in self._events if not e.cancelled)
+
+    def __bool__(self):
+        return len(self) > 0
+
+    def push(self, time, callback, *, priority=0, args=(), kwargs=None,
+             label=""):
+        return self.schedule(time, priority, callback, args,
+                             kwargs if kwargs else None, label)
+
+    def schedule(self, time, priority, callback, args, kwargs, label):
+        if not callable(callback):
+            raise SchedulingError("callback must be callable")
+        if time != time:
+            raise SchedulingError("cannot schedule an event at time NaN")
+        event = ScheduledEvent(time, priority, self._sequence, callback,
+                               args, kwargs, label, self)
+        self._sequence += 1
+        self._events.append(event)
+        return event
+
+    def note_cancelled(self):
+        pass  # len() recounts live events on every call
+
+    def _head(self):
+        live = [e for e in self._events if not e.cancelled]
+        if not live:
+            return None
+        return min(live, key=lambda e: (e.time, e.priority, e.sequence))
+
+    def _take(self, event):
+        self._events.remove(event)
+        event._popped = True
+        return event
+
+    def pop(self):
+        head = self._head()
+        if head is None:
+            raise IndexError("pop from empty queue")
+        return self._take(head)
+
+    def pop_next(self, until=None):
+        head = self._head()
+        if head is None or (until is not None and head.time > until):
+            return None
+        return self._take(head)
+
+    def peek_time(self):
+        head = self._head()
+        return None if head is None else head.time
 
 
 # ----------------------------------------------------------------------
@@ -71,9 +134,9 @@ def _replay(queue_cls, ops):
 
 
 def _mirror(ops):
-    """Assert the oracle and the calendar queue agree on an op script."""
-    expected = _replay(EventQueue, ops)
-    actual = _replay(CalendarQueue, ops)
+    """Assert the heap queue and the reference agree on an op script."""
+    expected = _replay(_ReferenceQueue, ops)
+    actual = _replay(EventQueue, ops)
     assert actual == expected
     return expected
 
@@ -122,7 +185,9 @@ def test_pop_until_blocks_identically():
         ("peek",),
         ("pop_until", 5.0),
     ]
-    _mirror(ops)
+    trace = _mirror(ops)
+    assert ("pop_next", None) in trace
+    assert ("peek", 5.0) in trace
 
 
 def test_cancel_heavy_interleaving():
@@ -137,7 +202,7 @@ def test_cancel_heavy_interleaving():
 
 
 def test_validation_errors_match_oracle():
-    for queue_cls in (EventQueue, CalendarQueue):
+    for queue_cls in (EventQueue, _ReferenceQueue):
         with pytest.raises(SchedulingError):
             queue_cls().push(1.0, "not callable")
         with pytest.raises(SchedulingError):
@@ -145,11 +210,18 @@ def test_validation_errors_match_oracle():
 
 
 # ----------------------------------------------------------------------
-# Simulator-level differential (exercises run_loop, bursts, timers,
-# slot recycling -- handles are dropped, so the arena actually reuses)
+# Simulator-level differential: the same program run on the heap queue
+# and on the reference queue swapped into the simulator
 # ----------------------------------------------------------------------
-def _fire_trace(backend, program):
-    sim = Simulator(seed=0, queue=backend)
+def _simulator(reference):
+    sim = Simulator(seed=0)
+    if reference:
+        sim._queue = _ReferenceQueue()
+    return sim
+
+
+def _fire_trace(reference, program):
+    sim = _simulator(reference)
     trace = []
     program(sim, trace)
     sim.run()
@@ -158,10 +230,10 @@ def _fire_trace(backend, program):
 
 
 def _both(program):
-    heap = _fire_trace("heap", program)
-    calendar = _fire_trace("calendar", program)
-    assert calendar == heap
-    return heap
+    expected = _fire_trace(True, program)
+    actual = _fire_trace(False, program)
+    assert actual == expected
+    return actual
 
 
 def test_chain_and_fanout_fire_identically():
@@ -205,7 +277,7 @@ def test_periodic_timers_fire_identically():
         def beat(tag):
             trace.append((sim.now, "beat", tag))
             if sim.now > 0.25 and timers:
-                timers.pop().cancel()  # mid-run cancel hits rearm's slot
+                timers.pop().cancel()  # mid-run cancel of a queued tick
 
         for i in range(5):
             timers.append(
@@ -216,9 +288,9 @@ def test_periodic_timers_fire_identically():
 
 
 def test_mid_drain_same_time_insert_joins_cohort():
-    # The first cohort member schedules another event at the *same*
-    # instant (delay 0.0): on the calendar backend it must bisect into
-    # the active burst exactly where the oracle's heap would pop it.
+    # The first member of a same-instant cohort schedules two more
+    # events at that instant (delay 0.0); they must slot into the
+    # remaining cohort by (priority, sequence).
     def program(sim, trace):
         def member(tag):
             trace.append((sim.now, tag))
@@ -237,20 +309,22 @@ def test_mid_drain_same_time_insert_joins_cohort():
 
 
 def test_burst_flush_back_on_earlier_insert():
-    # run(until) can return with a burst mid-drain; a then-scheduled
-    # *earlier* event must flush the cohort back and still fire first.
-    def program_events(backend):
-        sim = Simulator(seed=0, queue=backend)
+    # run(until) returns with a same-instant cohort still queued; an
+    # event then scheduled *earlier* than the cohort must fire first.
+    def program_events(reference):
+        sim = _simulator(reference)
         trace = []
         for i in range(6):
             sim.after(5.0, lambda i=i: trace.append((sim.now, i)))
-        sim.run(until=4.0)  # forms the burst on calendar, fires nothing
+        sim.run(until=4.0)
         assert trace == []
         sim.after(4.5 - sim.now, lambda: trace.append((sim.now, "early")))
         sim.run()
         return trace
 
-    assert program_events("calendar") == program_events("heap")
+    trace = program_events(False)
+    assert trace == program_events(True)
+    assert trace == [(4.5, "early")] + [(5.0, i) for i in range(6)]
 
 
 def test_mid_drain_cancel_skips_burst_member():
@@ -271,152 +345,28 @@ def test_mid_drain_cancel_skips_burst_member():
 
 
 # ----------------------------------------------------------------------
-# Arena / calendar-specific machinery
-# ----------------------------------------------------------------------
-class TestArena:
-    def test_dropped_handle_slot_is_recycled(self):
-        q = CalendarQueue()
-        q.push(1.0, _noop)
-        first = q.pop()
-        slot = first.slot
-        del first  # release the only outside reference
-        q.push(2.0, _noop)  # free list still empty (slot pending)
-        second = q.pop()  # now the first slot hits the free list
-        del second
-        reused = q.push(3.0, _noop)
-        assert reused.slot == slot
-        assert reused.generation == 1  # bumped on change of tenant
-
-    def test_held_handle_prevents_reuse(self):
-        q = CalendarQueue()
-        q.push(1.0, _noop)
-        held = q.pop()
-        slot = held.slot
-        q.push(2.0, _noop)
-        q.pop()
-        fresh = q.push(3.0, _noop)
-        if fresh.slot == slot:  # slot reused under a *new* object
-            assert fresh is not held
-            assert fresh.generation > held.generation
-        held.cancel()  # orphaned handle: forever a no-op
-        assert not held.cancelled
-        assert len(q) == 1
-
-    def test_rearm_only_applies_to_pending_slot(self):
-        q = CalendarQueue()
-        q.push(1.0, _noop)
-        q.push(2.0, _noop)
-        a = q.pop()
-        b = q.pop()  # b is now the pending-free slot, a is parked
-        assert q.rearm(a, 5.0) is None
-        assert q.rearm(b, 5.0) is b
-        assert len(q) == 1
-        assert q.pop() is b
-
-    def test_rearm_takes_fresh_sequence(self):
-        q = CalendarQueue()
-        q.push(1.0, _noop)
-        e = q.pop()
-        old_seq = e.sequence
-        old_gen = e.generation
-        assert q.rearm(e, 2.0) is e
-        assert e.sequence > old_seq  # tie order matches oracle pop+push
-        assert e.generation == old_gen + 1
-        assert e.time == 2.0
-
-    def test_rearm_rejects_foreign_and_queued_events(self):
-        q1, q2 = CalendarQueue(), CalendarQueue()
-        q2.push(1.0, _noop)
-        foreign = q2.pop()
-        assert q1.rearm(foreign, 5.0) is None
-        queued = q1.push(1.0, _noop)
-        assert q1.rearm(queued, 5.0) is None  # not popped yet
-        assert len(q1) == 1
-
-    @pytest.mark.parametrize("priority", [1 << 19, -(1 << 19) - 1])
-    def test_out_of_range_priority_rejected(self, priority):
-        with pytest.raises(SchedulingError):
-            CalendarQueue().push(1.0, _noop, priority=priority)
-        sim = Simulator(seed=0, queue="calendar")
-        with pytest.raises(SchedulingError):
-            sim.after(1.0, _noop, priority=priority)
-
-    @pytest.mark.parametrize("priority", [(1 << 19) - 1, -(1 << 19)])
-    def test_boundary_priorities_accepted(self, priority):
-        q = CalendarQueue()
-        q.push(1.0, _noop, priority=priority)
-        assert q.pop().priority == priority
-
-    def test_clear_leaves_handles_inert(self):
-        # Same regression contract as EventQueue.clear: a cleared
-        # handle can't cancel its way into the fresh bookkeeping.
-        q = CalendarQueue()
-        handles = [q.push(float(i), _noop) for i in range(5)]
-        q.clear()
-        assert len(q) == 0
-        assert q.peek_time() is None
-        for h in handles:
-            h.cancel()
-        assert len(q) == 0
-        q.push(9.0, _noop)
-        assert len(q) == 1
-        assert q.pop().time == 9.0
-
-    def test_negative_delay_rejected_by_fast_after(self):
-        sim = Simulator(seed=0, queue="calendar")
-        with pytest.raises(SchedulingError):
-            sim.after(-1.0, _noop)
-        with pytest.raises(SchedulingError):
-            sim.after(float("nan"), _noop)
-        with pytest.raises(SchedulingError):
-            sim.after(1.0, "not callable")
-
-
-# ----------------------------------------------------------------------
-# Golden builders: full experiment pipeline, backend-identical
+# Golden builders: full experiment pipeline on both queues
 # ----------------------------------------------------------------------
 def test_golden_builders_identical_under_both_backends(monkeypatch):
-    """Every golden fixture document is bit-identical heap vs calendar.
+    """Every golden fixture document is bit-identical heap vs reference.
 
     This is the end-to-end statement of the contract: the production
     run_point/run_decay paths (radio, trust, clustering, diagnosis,
-    rotating CHs) produce the same floats under either scheduler.
+    rotating CHs) produce the same floats when every simulator runs on
+    the brute-force reference queue.
     """
+    import repro.simkernel.simulator as simulator_module
     from tests.golden.builders import BUILDERS
 
-    docs = {}
-    for backend in BACKENDS:
-        monkeypatch.setenv("TIBFIT_QUEUE", backend)
-        docs[backend] = {name: build() for name, build in BUILDERS.items()}
-    assert docs["calendar"] == docs["heap"]
+    scheduled = []
 
+    class CountingReference(_ReferenceQueue):
+        def schedule(self, *args):
+            scheduled.append(1)
+            return super().schedule(*args)
 
-# ----------------------------------------------------------------------
-# Backend resolution
-# ----------------------------------------------------------------------
-class TestBackendResolution:
-    def test_explicit_names(self):
-        assert resolve_queue_backend("heap") == "heap"
-        assert resolve_queue_backend("calendar") == "calendar"
-
-    def test_env_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("TIBFIT_QUEUE", raising=False)
-        assert resolve_queue_backend() == "calendar"
-        monkeypatch.setenv("TIBFIT_QUEUE", "heap")
-        assert resolve_queue_backend() == "heap"
-
-    def test_bad_values_rejected(self, monkeypatch):
-        with pytest.raises(SchedulingError):
-            resolve_queue_backend("fifo")
-        monkeypatch.setenv("TIBFIT_QUEUE", "fifo")
-        with pytest.raises(SchedulingError, match="TIBFIT_QUEUE"):
-            resolve_queue_backend()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_simulator_wires_backend(self, backend):
-        sim = Simulator(seed=0, queue=backend)
-        assert sim.queue_backend == backend
-        fired = []
-        sim.after(1.0, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [1.0]
+    heap = {name: build() for name, build in BUILDERS.items()}
+    monkeypatch.setattr(simulator_module, "EventQueue", CountingReference)
+    reference = {name: build() for name, build in BUILDERS.items()}
+    assert scheduled  # the builders really ran on the reference queue
+    assert reference == heap
