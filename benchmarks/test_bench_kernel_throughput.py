@@ -420,9 +420,8 @@ def test_kernel_cancel_heavy_heap(benchmark):
 # sensing disk (r_s = 20) must contain exactly the nodes reporting that
 # blob, so votes are unanimous (zero dissenters) and trust state reaches
 # a fixed point after the first window.  Without that, repeated timed
-# windows keep penalising the same dissenters, the trust table's
-# interned code chains grow without bound, and the bench measures
-# code-table churn instead of the decision pipeline.
+# windows keep penalising the same dissenters, their trust drifts
+# round after round, and the bench no longer times one fixed workload.
 _WINDOW_LAYOUTS = {
     # n: (grid nodes, field side, sites)
     8: (64, 100.0, (Point(35.0, 40.0),)),

@@ -5,8 +5,8 @@ invariants that should hold in *every* run, chaos-injected or not:
 
 * **TI range** -- every trust index lies in ``[0, 1]`` and every fault
   accumulator ``v`` is non-negative (``TI = exp(-lam * v)``, §3).
-* **Code-table consistency** -- the flat-array engine's interned code
-  tables agree with the per-node view, and ``below_threshold`` returns
+* **TI-cache consistency** -- every trust row's cached TI is bitwise
+  ``exp(-lam * v)`` of its accumulator, and ``below_threshold`` returns
   exactly the strict-``<`` scan of the node TIs.
 * **Clock monotonicity** -- trace timestamps never decrease and never
   exceed the simulator clock (the DES contract).
@@ -83,37 +83,28 @@ class InvariantChecker:
     def check_trust(
         self, table, extra_thresholds: Iterable[float] = ()
     ) -> List[Violation]:
-        """TI range + code-table + below_threshold consistency."""
+        """TI range + TI-cache + below_threshold consistency, per row."""
         out: List[Violation] = []
         tis = table.tis()
+        accumulators = table.export_state()
+        params = table.params
         for node_id, ti in tis.items():
+            v = accumulators[node_id]
+            if v < 0.0:
+                out.append(Violation(
+                    "ti-range",
+                    f"node {node_id} has accumulator v={v!r} < 0",
+                ))
             if not 0.0 <= ti <= 1.0:
                 out.append(Violation(
                     "ti-range", f"node {node_id} has TI {ti!r} outside [0, 1]"
                 ))
-        code_v = getattr(table, "_code_v", None)
-        code_ti = getattr(table, "_code_ti", None)
-        if code_v is not None and code_ti is not None:
-            for code, v in enumerate(code_v):
-                if v < 0.0:
-                    out.append(Violation(
-                        "ti-range",
-                        f"code {code} has accumulator v={v!r} < 0",
-                    ))
-            for code, ti in enumerate(code_ti):
-                if not 0.0 <= ti <= 1.0:
-                    out.append(Violation(
-                        "ti-range",
-                        f"code {code} has interned TI {ti!r} outside [0, 1]",
-                    ))
-            params = table.params
-            for code, (v, ti) in enumerate(zip(code_v, code_ti)):
-                if 0.0 <= ti <= 1.0 and ti != params.ti_of(v):
-                    out.append(Violation(
-                        "code-table",
-                        f"code {code}: interned TI {ti!r} != "
-                        f"exp(-lam*{v!r}) = {params.ti_of(v)!r}",
-                    ))
+            elif ti != params.ti_of(v):
+                out.append(Violation(
+                    "ti-cache",
+                    f"node {node_id}: cached TI {ti!r} != "
+                    f"exp(-lam*{v!r}) = {params.ti_of(v)!r}",
+                ))
         for threshold in dict.fromkeys(
             (*self.thresholds, *extra_thresholds)
         ):

@@ -110,8 +110,7 @@ class CtiVoter:
 
         Both the object decision engine and the array decision kernel
         feed sorted tuples of plain Python ints here, so the trust
-        table's partition memo (keyed on the raw tuples) hits
-        identically regardless of backend.
+        table sees the same keys regardless of backend.
 
         Raises
         ------

@@ -7,11 +7,10 @@ that: it snapshots a trust table's TI map at decision boundaries and
 exposes the result as per-node trajectory arrays, JSONL records, and
 threshold-crossing queries.
 
-Sampling is **batch-API compatible**: the probe reads the flat-array
-table's derived TI state (:meth:`TrustTable.tis`), which never forces a
-buffered-counter flush, and it samples once per CH decision rather than
-once per trust update -- so an instrumented run observes the same table
-the uninstrumented run produces, bit for bit.
+Sampling is read-only: the probe copies the table's cached TIs
+(:meth:`TrustTable.tis`), and it samples once per CH decision rather
+than once per trust update -- so an instrumented run observes the same
+table the uninstrumented run produces, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ class TrustProbe:
     ----------
     table:
         Any object with the trust-table query API (``tis()``; optionally
-        ``code_table_size()``).  Both :class:`~repro.core.trust.TrustTable`
-        and the dict reference oracle qualify.
+        ``code_table_size()``), such as
+        :class:`~repro.core.trust.TrustTable`.
     registry:
         Optional metrics registry; each sample updates the
         ``trust.code_table_size`` gauge and the ``probe.samples``

@@ -260,6 +260,17 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
                 ))
             accepted = dropped = 0
             with self.manager.locked(key) as session:
+                # Reject the batch whole before ingesting any of it: an
+                # unknown id would otherwise become a trust row at the
+                # next vote, growing the session without bound.
+                members = set(session.members)
+                for node, _, _, _ in parsed:
+                    if node not in members:
+                        raise _ApiError(
+                            400,
+                            f"report node {node} is not a member of "
+                            "this session",
+                        )
                 for node, x, y, t in parsed:
                     ok = session.ingest(node, x=x, y=y, time=t)
                     accepted += ok

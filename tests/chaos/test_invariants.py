@@ -27,6 +27,15 @@ def make_run(**overrides):
     return SimulationRun(**kwargs)
 
 
+def corrupt_row(run, v=None, ti=None):
+    """Overwrite one trust row's ``v`` and/or cached TI in place."""
+    row = run.ch.trust._rows[min(run.ch.trust._rows)]
+    if v is not None:
+        row[0] = v
+    if ti is not None:
+        row[1] = ti
+
+
 class TestHealthyRuns:
     def test_green_on_plain_run(self):
         run = make_run().run(10)
@@ -59,8 +68,7 @@ class TestHealthyRuns:
 
     def test_violations_are_counted_into_metrics(self):
         run = make_run(observe=True).run(5)
-        codes = run.ch.trust._code_ti
-        codes[0] = 1.5  # corrupt one interned TI
+        corrupt_row(run, ti=1.5)
         InvariantChecker().check_run(run)
         assert run.registry.counter("chaos.violation.ti-range").value >= 1
 
@@ -70,23 +78,23 @@ class TestInjectedBugs:
 
     def test_catches_out_of_range_interned_ti(self):
         run = make_run().run(5)
-        run.ch.trust._code_ti[0] = 1.5
+        corrupt_row(run, ti=1.5)
         violations = InvariantChecker().check_run(run)
         assert any(v.invariant == "ti-range" for v in violations)
 
     def test_catches_negative_fault_accumulator(self):
         run = make_run().run(5)
-        run.ch.trust._code_v[0] = -0.25
+        corrupt_row(run, v=-0.25)
         violations = InvariantChecker().check_run(run)
         assert any(v.invariant == "ti-range" for v in violations)
 
     def test_catches_code_table_desync(self):
-        # An interned TI that is in range but disagrees with exp(-lam*v)
+        # A cached TI that is in range but disagrees with exp(-lam*v)
         # -- exactly the drift a bad cache-update would cause.
         run = make_run().run(5)
-        run.ch.trust._code_ti[0] = 0.1234
+        corrupt_row(run, ti=0.1234)
         violations = InvariantChecker().check_run(run)
-        assert any(v.invariant == "code-table" for v in violations)
+        assert any(v.invariant == "ti-cache" for v in violations)
 
     def test_catches_below_threshold_mismatch(self, monkeypatch):
         run = make_run().run(5)
@@ -120,7 +128,7 @@ class TestInjectedBugs:
 
     def test_error_carries_structured_violations(self):
         run = make_run().run(5)
-        run.ch.trust._code_ti[0] = 2.0
+        corrupt_row(run, ti=2.0)
         with pytest.raises(InvariantViolationError) as excinfo:
             InvariantChecker().assert_run(run)
         assert excinfo.value.violations

@@ -1,12 +1,12 @@
-"""Randomized equivalence: flat-array trust engine vs. the dict oracle.
+"""Randomized equivalence: the cached-TI trust table vs. the dict oracle.
 
-The interned-code engine (`TrustTable`) must be *bit-identical* to the
-retained dict-of-entries reference (`TrustTableReference`) -- exactly
-equal (``==``, never ``approx``) `ti`, `cti`, `tis`, `below_threshold`,
+`TrustTable` must be *bit-identical* to the dict-of-entries reference
+in `tests/oracles/trust.py` (`TrustTableReference`) -- exactly equal
+(``==``, never ``approx``) `ti`, `cti`, `tis`, `below_threshold`,
 `export_state`, and vote CTIs -- across random update interleavings,
 the `_V_EPSILON` reward snap, auto-registration on update (but never on
 read), never-seen nodes contributing TI = 1.0 to a CTI, forget / clone /
-import_state, and the partition-memo invalidation paths.
+import_state, and repeated votes over the same partitions.
 """
 
 import math
@@ -15,12 +15,8 @@ import random
 import pytest
 
 from repro.core.binary import CtiVoter
-from repro.core.trust import (
-    TrustParameters,
-    TrustTable,
-    TrustTableReference,
-    _V_EPSILON,
-)
+from repro.core.trust import TrustParameters, TrustTable, _V_EPSILON
+from tests.oracles.trust import TrustTableReference
 
 PARAMS = TrustParameters(lam=0.25, fault_rate=0.1)
 
@@ -303,14 +299,18 @@ class TestRandomizedInterleavings:
 
 class TestInternalsStayCoherent:
     def test_interned_ti_matches_math_exp(self):
-        """Cached per-code TIs are exactly math.exp(-lam * v)."""
+        """Every row's cached TI is exactly math.exp(-lam * v)."""
         engine, _ = make_pair(range(5))
         for _ in range(30):
             engine.penalize(0)
             engine.reward(1)
-        for v, ti in zip(engine._code_v, engine._code_ti):
-            assert ti == math.exp(-PARAMS.lam * v)
-            assert ti == PARAMS.ti_of(v)
+            engine.penalize_many([2, 3])
+            engine.reward_many([3])
+        engine.set_v(4, 2.345)
+        tis = engine.tis()
+        for node_id, v in engine.export_state().items():
+            assert tis[node_id] == math.exp(-PARAMS.lam * v)
+            assert tis[node_id] == PARAMS.ti_of(v)
 
     def test_epsilon_constant_unchanged(self):
         assert _V_EPSILON == 1e-9

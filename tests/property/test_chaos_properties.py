@@ -3,7 +3,7 @@
 Two families of properties:
 
 * **Safety** -- whatever fault plan is applied, a completed run never
-  violates the runtime invariants (TI range, code-table consistency,
+  violates the runtime invariants (TI range, TI-cache consistency,
   clock monotonicity, decision ordering, diagnosis soundness).
 * **Determinism** -- any ``(plan, seed)`` pair replays bit-identically:
   run-to-run in one process, and serial vs. a two-worker campaign pool.

@@ -11,7 +11,8 @@ Hypothesis shrinks any divergence to a minimal op sequence.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.trust import TrustParameters, TrustTable, TrustTableReference
+from repro.core.trust import TrustParameters, TrustTable
+from tests.oracles.trust import TrustTableReference
 
 NODE_IDS = st.integers(min_value=0, max_value=15)
 

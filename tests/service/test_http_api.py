@@ -238,6 +238,41 @@ class TestNonNumericInput:
         assert status == 200
 
 
+class TestUnknownReportNodes:
+    """A report from a node outside the session is a 400 naming
+    ``report node``; the batch is rejected whole, so the session gains
+    no pending report and no trust row."""
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [[-1], [9], [1000], [0, 4, -3, 8]],
+        ids=["negative", "out-of-range", "far-out-of-range", "mixed-batch"],
+    )
+    def test_rejected_before_ingest(self, server, nodes):
+        base, manager = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        with manager.locked("t") as session:
+            rows_before = len(session.trust)
+        status, doc = ingest(base, "t", [(n, 15.0, 15.0) for n in nodes])
+        assert status == 400
+        assert "report node" in doc["error"]
+        with manager.locked("t") as session:
+            assert session.pending_reports() == 1
+            assert len(session.trust) == rows_before
+        # Closing the window votes only over members: still no new row.
+        status, _ = call(base, "POST", "/v1/sessions/t/close", {"time": 1})
+        assert status == 200
+        with manager.locked("t") as session:
+            assert len(session.trust) == rows_before
+            assert all(0 <= n < 9 for n in session.tis())
+
+    def test_members_are_accepted(self, server):
+        base, _ = server
+        status, doc = ingest(base, "t", [(n, 15.0, 15.0) for n in range(9)])
+        assert status == 200
+        assert doc["accepted"] == 9
+
+
 NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999")
 
 
