@@ -57,7 +57,7 @@ profile:
 	PYTHONPATH=src $(PYTHON) benchmarks/profile_hotspots.py
 
 # cProfile every BENCH_e2e.json sweep point (top-25 cumulative each),
-# stamped with the decision backend in effect.
+# one warmed run per bench.
 profile-e2e:
 	$(PYTHON) benchmarks/bench_e2e.py profile
 

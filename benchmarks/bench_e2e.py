@@ -66,13 +66,6 @@ def git_sha() -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
-def decision_backend() -> str:
-    """The CH decision backend these numbers were measured under."""
-    from repro.core.decision_kernel import resolve_decision_backend
-
-    return resolve_decision_backend()
-
-
 def _bench_exp1() -> None:
     from repro.experiments import experiment1
     from repro.experiments.config import Experiment1Config
@@ -172,7 +165,7 @@ def cmd_save(args: argparse.Namespace) -> int:
         "label": args.label,
         "git_sha": git_sha(),
         "queue_backend": "heap",
-        "decision_backend": decision_backend(),
+        "decision_backend": "array",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": args.repeats,
@@ -239,7 +232,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"unknown bench(es): {', '.join(unknown)}; "
             f"choose from {', '.join(BENCHES)}"
         )
-    print(f"decision_backend={decision_backend()}")
     for name in names:
         fn = BENCHES[name]
         fn()  # warm-up, unprofiled

@@ -74,13 +74,6 @@ def git_sha() -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
-def decision_backend() -> str:
-    """The decision backend these numbers were measured under."""
-    from repro.core.decision_kernel import resolve_decision_backend
-
-    return resolve_decision_backend()
-
-
 def make_manager(max_sessions: int = 0):
     from repro.service.http_api import ServiceConfig, default_session_factory
     from repro.service.manager import SessionManager
@@ -240,7 +233,7 @@ def cmd_save(args: argparse.Namespace) -> int:
         ),
         "label": args.label,
         "git_sha": git_sha(),
-        "decision_backend": decision_backend(),
+        "decision_backend": "array",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": args.repeats,

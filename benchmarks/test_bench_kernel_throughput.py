@@ -460,46 +460,34 @@ def _steady_window(deployment, n, sites, sensing_radius=20.0):
 
 
 def _decision_setup(n):
-    """One steady-state n-report CH window, both decision backends.
+    """One steady-state n-report CH window for the decision kernel.
 
-    Returns both backends (independent but identically-parameterised
-    voters) with ingest prebuilt on each side -- the object path's
-    ``LocationReport`` list, and the array path's pre-filled
-    :class:`ReportBuffer` plus ``(time, node_id)``-sorted row index --
-    so the timed functions measure the decision pipeline alone, the
+    Returns the kernel with ingest prebuilt -- a filled
+    :class:`ReportBuffer` plus its ``(time, node_id)``-sorted row index
+    -- so the timed function measures the decision pipeline alone, the
     way production runs it (ingest happens at message arrival, decide
     at circle close).
     """
     from repro.core.decision_kernel import DecisionKernel, ReportBuffer
-    from repro.core.location import LocationDecisionEngine, LocationReport
 
     n_nodes, side, sites = _WINDOW_LAYOUTS[n]
     deployment = grid_deployment(n_nodes, Region.square(side))
     reporters = _steady_window(deployment, n, sites)
 
-    def make_voter():
-        return CtiVoter(TrustTable(
-            TrustParameters(lam=0.25, fault_rate=0.1),
-            node_ids=range(n_nodes),
-        ))
+    def make_kernel():
+        return DecisionKernel(
+            deployment=deployment, sensing_radius=20.0, r_error=5.0,
+            voter=CtiVoter(TrustTable(
+                TrustParameters(lam=0.25, fault_rate=0.1),
+                node_ids=range(n_nodes),
+            )),
+        )
 
-    engine = LocationDecisionEngine(
-        deployment=deployment, sensing_radius=20.0, r_error=5.0,
-        voter=make_voter(),
-    )
-    kernel = DecisionKernel(
-        deployment=deployment, sensing_radius=20.0, r_error=5.0,
-        voter=make_voter(),
-    )
-    reports = [
-        LocationReport(node_id=node_id, location=claim, time=0.001 * i)
-        for i, (node_id, claim) in enumerate(reporters)
-    ]
     buf = ReportBuffer()
     rows = np.asarray(
         [
-            buf.append(r.node_id, r.location.x, r.location.y, r.time)
-            for r in reports
+            buf.append(node_id, claim.x, claim.y, 0.001 * i)
+            for i, (node_id, claim) in enumerate(reporters)
         ],
         dtype=np.intp,
     )
@@ -507,38 +495,26 @@ def _decision_setup(n):
     # Steady state sanity: every blob's vote must be unanimous, else
     # repeated windows drift trust state and the numbers stop meaning
     # "decision pipeline cost".
-    for decision in engine.decide(reports):
+    for decision in make_kernel().decide_rows(buf, sorted_rows):
         assert decision.occurred and not decision.dissenters
-    engine.voter = make_voter()
-    return engine, kernel, reports, buf, sorted_rows
+    return make_kernel(), buf, sorted_rows
 
 
-def _make_window_benches(n):
-    def bench_object(benchmark):
-        engine, _kernel, reports, _buf, _rows = _decision_setup(n)
-        decisions = benchmark(engine.decide, reports)
-        assert decisions
-
+def _make_window_bench(n):
     def bench_array(benchmark):
-        _engine, kernel, _reports, buf, rows = _decision_setup(n)
+        kernel, buf, rows = _decision_setup(n)
         decisions = benchmark(kernel.decide_rows, buf, rows)
         assert decisions
 
-    return bench_object, bench_array
+    return bench_array
 
 
-# n=8 sits below the old _NUMPY_MIN_REPORTS=18 crossover, where the
-# object path still clusters Point objects pairwise; n=30 just above
-# it, n=120 at event-region scale.
-test_decision_window_object_n8, test_decision_window_array_n8 = (
-    _make_window_benches(8)
-)
-test_decision_window_object_n30, test_decision_window_array_n30 = (
-    _make_window_benches(30)
-)
-test_decision_window_object_n120, test_decision_window_array_n120 = (
-    _make_window_benches(120)
-)
+# n=8 and n=30 take the kernel's small-window route (under 32 rows),
+# on each side of the clustering's 16-report flat/numpy crossover;
+# n=120 takes the vectorised route at event-region scale.
+test_decision_window_array_n8 = _make_window_bench(8)
+test_decision_window_array_n30 = _make_window_bench(30)
+test_decision_window_array_n120 = _make_window_bench(120)
 
 
 def test_topology_small_n_scan(benchmark):

@@ -9,8 +9,9 @@ This package is the paper's primary contribution:
   non-reporters for binary events (§3.1).
 * :mod:`repro.core.clustering` -- the K-means-style heuristic grouping
   location reports into event clusters (§3.2).
-* :mod:`repro.core.location` -- the full location-determination decision
-  engine built from clustering + CTI voting (§3.2).
+* :mod:`repro.core.decision_kernel` -- the location-determination
+  decision pipeline built from clustering + CTI voting (§3.2), and
+  :mod:`repro.core.location`, the located verdict it returns.
 * :mod:`repro.core.concurrent` -- ``r_error`` circles with per-circle
   timeouts separating concurrent events (§3.3).
 * :mod:`repro.core.baseline` -- the stateless majority-voting comparator
@@ -23,25 +24,22 @@ from repro.core.baseline import MajorityVoter
 from repro.core.binary import BinaryVoteResult, CtiVoter
 from repro.core.clustering import ReportCluster, cluster_reports
 from repro.core.concurrent import CircleTracker, EventCircle
+from repro.core.decision_kernel import DecisionKernel, ReportBuffer
 from repro.core.diagnosis import DiagnosisEntry, FaultDiagnoser
-from repro.core.location import (
-    LocatedDecision,
-    LocationDecisionEngine,
-    LocationReport,
-)
+from repro.core.location import LocatedDecision
 from repro.core.trust import TrustEntry, TrustParameters, TrustTable
 
 __all__ = [
     "BinaryVoteResult",
     "CircleTracker",
     "CtiVoter",
+    "DecisionKernel",
     "DiagnosisEntry",
     "EventCircle",
     "FaultDiagnoser",
     "LocatedDecision",
-    "LocationDecisionEngine",
-    "LocationReport",
     "MajorityVoter",
+    "ReportBuffer",
     "ReportCluster",
     "TrustEntry",
     "TrustParameters",

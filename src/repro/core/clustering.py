@@ -21,29 +21,26 @@ own (small) clusters and are naturally out-voted -- "this design
 successfully throws out event reports from nodes that make a
 localization error of more than r_error" (§3.2).
 
-Two implementations coexist:
+One algorithm, two routes over the same flat coordinates:
 
-* the **reference** scalar path (:func:`cluster_reports_reference`),
-  the original per-``Point`` loops -- retained both as the oracle for
-  the randomized equivalence suite and as the faster choice below the
-  numpy crossover;
-* the **flat-array fast path** (:func:`cluster_reports_xy`), which
-  works on ``(xs, ys)`` float arrays directly, precomputes the full
-  pairwise distance matrix once, and reuses it across farthest-pair
-  selection, coverage seeding, and the first assignment round (the
-  initial centres *are* report rows, so their distance columns already
-  exist in the matrix).
+* the **flat float-list route** (:func:`cluster_reports_flat`) runs
+  the steps as plain Python loops -- below ``_FLAT_MIN_NUMPY`` reports
+  numpy's per-ufunc dispatch costs more than the arithmetic;
+* the **numpy route** precomputes the full pairwise distance matrix
+  once and reuses it across farthest-pair selection, coverage seeding,
+  and the first assignment round (the initial centres *are* report
+  rows, so their distance columns already exist in the matrix).
 
-Both produce bit-identical output: every distance is evaluated as
-``sqrt(dx*dx + dy*dy)`` (each step correctly rounded, scalar and
-vectorised alike -- see :meth:`repro.network.geometry.Point.distance_to`),
-``np.argmin`` breaks ties at the lowest index exactly like the scalar
-scan, and centres of gravity are accumulated in ascending report order
-in both paths.  :func:`cluster_reports` dispatches on window size for
-``Point``-sequence callers (converting small windows to arrays costs
-more than it saves); :func:`cluster_reports_xy` is crossover-free and
-serves the struct-of-arrays decision kernel
-(:mod:`repro.core.decision_kernel`), whose windows are already arrays.
+:func:`cluster_reports_xy` dispatches between them on window size;
+:func:`cluster_reports` is the ``Point``-sequence adapter onto it.
+Both routes produce bit-identical output: every distance is evaluated
+as ``sqrt(dx*dx + dy*dy)`` (each step correctly rounded, scalar and
+vectorised alike -- see
+:meth:`repro.network.geometry.Point.distance_to`), ``np.argmin`` breaks
+ties at the lowest index exactly like the scalar scan, and centres of
+gravity are accumulated in ascending report order.  The original
+per-``Point`` implementation is kept as a test oracle in
+``tests/oracles/clustering.py``.
 """
 
 from __future__ import annotations
@@ -54,20 +51,17 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.geometry import (
-    Point,
-    centroid,
-    farthest_pair,
-    weighted_centroid,
-)
+from repro.network.geometry import Point
 
 _MAX_ROUNDS = 100
 
-#: Report-count crossover between the scalar reference path and the
-#: numpy flat-array path.  Below this, numpy's per-call overhead
-#: (array creation, ufunc dispatch) outweighs the vectorisation win;
-#: measured on this container the paths break even at ~18 reports.
-_NUMPY_MIN_REPORTS = 18
+#: Window size below which the flat float-list route beats numpy.
+#: Sub-microsecond Python float arithmetic wins against per-ufunc
+#: dispatch overhead (~1-2us each) until the O(n^2) distance work
+#: dominates; the routes cross near 12-16 reports (coherent blobs
+#: cross later than uniform scatter, and post-gate windows are
+#: blob-shaped, so the threshold leans high).
+_FLAT_MIN_NUMPY = 16
 
 
 @dataclass(frozen=True)
@@ -105,16 +99,9 @@ def cluster_reports(
         Clusters sorted by descending size then ascending first index,
         so the dominant candidate event comes first.
     """
-    if r_error <= 0:
-        raise ValueError(f"r_error must be positive, got {r_error}")
-    n = len(locations)
-    if n == 0:
-        return []
-    if n == 1:
-        return [ReportCluster(indices=(0,), center=locations[0])]
-    if n < _NUMPY_MIN_REPORTS:
-        return _cluster_reports_scalar(locations, r_error)
-    return _cluster_reports_arrays(locations, r_error)
+    xs = np.array([p.x for p in locations], dtype=np.float64)
+    ys = np.array([p.y for p in locations], dtype=np.float64)
+    return cluster_reports_xy(xs, ys, r_error)
 
 
 def cluster_reports_xy(
@@ -122,13 +109,10 @@ def cluster_reports_xy(
 ) -> List[ReportCluster]:
     """Array-native clustering entry: coordinates as flat float arrays.
 
-    Identical output to :func:`cluster_reports` over the corresponding
-    ``Point`` sequence, but crossover-free: the caller already holds
-    ``(xs, ys)`` float64 arrays (the decision kernel's window rows), so
-    there is no conversion cost to amortise and the flat-array pipeline
-    wins at every window size.  The upper-triangle index pair for the
-    farthest-pair scan is memoised per window size, so small windows pay
-    no repeated ``np.triu_indices`` setup.
+    The decision kernel's window rows arrive as ``(xs, ys)`` float64
+    arrays.  Windows below ``_FLAT_MIN_NUMPY`` reports run the flat
+    float-list route, larger ones the numpy route; the output bits are
+    the same either way.
     """
     if r_error <= 0:
         raise ValueError(f"r_error must be positive, got {r_error}")
@@ -153,10 +137,10 @@ def cluster_reports_flat(
 ) -> List[ReportCluster]:
     """Clustering entry over plain float lists (no numpy, no ``Point``).
 
-    The decision kernel's small-window scalar route already holds the
-    window as Python float lists; this entry skips even the array
-    wrapping.  Output is bit-identical to :func:`cluster_reports` /
-    :func:`cluster_reports_xy` over the same coordinates.
+    The decision kernel's small-window route already holds the window
+    as Python float lists; this entry skips even the array wrapping.
+    Output is bit-identical to :func:`cluster_reports_xy` over the same
+    coordinates.
     """
     if r_error <= 0:
         raise ValueError(f"r_error must be positive, got {r_error}")
@@ -168,192 +152,19 @@ def cluster_reports_flat(
     return _cluster_reports_flat(xs, ys, r_error)
 
 
-def cluster_reports_reference(
-    locations: Sequence[Point], r_error: float
-) -> List[ReportCluster]:
-    """The retained pure-scalar implementation (equivalence oracle).
-
-    Identical behaviour to :func:`cluster_reports`; never takes the
-    numpy path regardless of window size.
-    """
-    if r_error <= 0:
-        raise ValueError(f"r_error must be positive, got {r_error}")
-    n = len(locations)
-    if n == 0:
-        return []
-    if n == 1:
-        return [ReportCluster(indices=(0,), center=locations[0])]
-    return _cluster_reports_scalar(locations, r_error)
-
-
 # ----------------------------------------------------------------------
-# Scalar reference path
+# Flat float-list route (small windows)
 # ----------------------------------------------------------------------
-def _cluster_reports_scalar(
-    locations: Sequence[Point], r_error: float
-) -> List[ReportCluster]:
-    i, j = farthest_pair(locations)
-    if locations[i].distance_to(locations[j]) <= r_error:
-        # The window's diameter is within r_error: the rounds provably
-        # converge to a single all-member cluster (both seed centroids
-        # lie inside the window's hull, so step 5 merges them at once),
-        # and its centre of gravity is the same left-to-right centroid
-        # _build_clusters would produce.  This is the no-fault common
-        # case -- skip the seeding and assignment rounds entirely.
-        return [
-            ReportCluster(
-                indices=tuple(range(len(locations))),
-                center=centroid(locations),
-            )
-        ]
-    centers = _seed_centers(locations, r_error, i, j)
-    # Each round ends with an assignment against its final centres, and
-    # the next round would open by recomputing that very assignment
-    # (same centres, same points) -- carry it forward instead.
-    assignment: List[int] = []
-    current = _assign(locations, centers)
-    for _ in range(_MAX_ROUNDS):
-        centers = _recenter(locations, current, len(centers))
-        centers, current = _merge_close_centers(
-            locations, centers, r_error
-        )
-        if current == assignment:
-            break
-        assignment = current
-
-    return _build_clusters(locations, assignment)
-
-
-def _seed_centers(
-    locations: Sequence[Point], r_error: float, i: int, j: int
-) -> List[Point]:
-    """Steps 2-3: the farthest pair ``(i, j)`` seeds, then coverage seeds."""
-    centers = [locations[i], locations[j]]
-    for k, loc in enumerate(locations):
-        if k in (i, j):
-            continue
-        if all(loc.distance_to(c) > r_error for c in centers):
-            centers.append(loc)
-    return centers
-
-
-def _assign(locations: Sequence[Point], centers: Sequence[Point]) -> List[int]:
-    """Step 4: nearest-centre assignment (ties to the lower centre index)."""
-    assignment = []
-    for loc in locations:
-        best_idx = 0
-        best_d = loc.distance_to(centers[0])
-        for idx in range(1, len(centers)):
-            d = loc.distance_to(centers[idx])
-            if d < best_d:
-                best_d = d
-                best_idx = idx
-        assignment.append(best_idx)
-    return assignment
-
-
-def _recenter(
-    locations: Sequence[Point], assignment: Sequence[int], k: int
-) -> List[Point]:
-    """Update each cluster's centre of gravity; empty clusters vanish.
-
-    Returns the new centre list; assignment indices are remapped by the
-    caller via :func:`_merge_close_centers`'s reassignment round, so here
-    empty clusters simply keep their old slot out of the output and the
-    subsequent assign round renumbers implicitly.
-    """
-    members: List[List[Point]] = [[] for _ in range(k)]
-    for loc, cluster_idx in zip(locations, assignment):
-        members[cluster_idx].append(loc)
-    return [centroid(group) for group in members if group]
-
-
-def _merge_close_centers(
-    locations: Sequence[Point],
-    centers: List[Point],
-    r_error: float,
-) -> Tuple[List[Point], List[int]]:
-    """Step 5: merge centres within ``r_error`` at their weighted average.
-
-    An assignment round is run against the incoming centres first so the
-    member counts used as merge weights are aligned with the (possibly
-    just recentred) centre list.  When no merge fires, the closing
-    assignment would rerun against the same centres -- reuse the
-    opening one instead.
-    """
-    assignment = _assign(locations, centers)
-    counts = [0] * len(centers)
-    for cluster_idx in assignment:
-        counts[cluster_idx] += 1
-
-    any_merge = False
-    merged = True
-    while merged and len(centers) > 1:
-        merged = False
-        for a in range(len(centers)):
-            for b in range(a + 1, len(centers)):
-                if centers[a].distance_to(centers[b]) <= r_error:
-                    weight_a = max(counts[a], 1)
-                    weight_b = max(counts[b], 1)
-                    new_center = weighted_centroid(
-                        [centers[a], centers[b]], [weight_a, weight_b]
-                    )
-                    centers = [
-                        c for idx, c in enumerate(centers) if idx not in (a, b)
-                    ] + [new_center]
-                    counts = [
-                        n for idx, n in enumerate(counts) if idx not in (a, b)
-                    ] + [weight_a + weight_b]
-                    merged = True
-                    any_merge = True
-                    break
-            if merged:
-                break
-
-    if any_merge:
-        assignment = _assign(locations, centers)
-    return centers, assignment
-
-
-def _build_clusters(
-    locations: Sequence[Point], assignment: Sequence[int]
-) -> List[ReportCluster]:
-    groups: dict[int, List[int]] = {}
-    for report_idx, cluster_idx in enumerate(assignment):
-        groups.setdefault(cluster_idx, []).append(report_idx)
-    clusters = []
-    for indices in groups.values():
-        pts = [locations[i] for i in indices]
-        clusters.append(
-            ReportCluster(indices=tuple(indices), center=centroid(pts))
-        )
-    clusters.sort(key=lambda c: (-len(c.indices), c.indices[0]))
-    return clusters
-
-
-# ----------------------------------------------------------------------
-# Flat scalar fast path (small windows)
-# ----------------------------------------------------------------------
-#: Window size below which the flat float-list path beats numpy.
-#: Sub-microsecond Python float arithmetic wins against per-ufunc
-#: dispatch overhead (~1-2us each) until the O(n^2) distance work
-#: dominates; measured on this container the paths cross near 12-16
-#: reports (coherent blobs cross later than uniform scatter, and
-#: post-gate windows are blob-shaped, so the threshold leans high).
-_FLAT_MIN_NUMPY = 16
-
-
 def _cluster_reports_flat(
     xs: List[float], ys: List[float], r_error: float
 ) -> List[ReportCluster]:
     """Scalar clustering over parallel float lists (``n >= 2``).
 
-    Operation-for-operation the reference path
-    (:func:`_cluster_reports_scalar`) with every ``Point`` attribute
-    access replaced by a list subscript: same farthest-pair scan with
-    strict ``>``, same seeding order, same nearest-centre tie-break,
-    same left-to-right centroid accumulation -- so the output bits
-    match both the reference and the numpy path.
+    Steps 1-5 as plain loops: the farthest-pair scan keeps the first
+    pair with strict ``>``, seeds are taken in index order, the
+    nearest-centre tie-break keeps the lower index, and centroids
+    accumulate left to right -- so the output bits match the numpy
+    route.
     """
     n = len(xs)
     sqrt = math.sqrt
@@ -383,7 +194,10 @@ def _cluster_reports_flat(
                     bi, bj = i, j
         single = best_d <= r_error
     if single:
-        # Single-cluster early exit (see the scalar reference).
+        # Single-cluster early exit: the window's diameter is within
+        # r_error, so the rounds would converge to one all-member
+        # cluster (both seed centroids lie inside the window's hull,
+        # and step 5 merges them at once).
         sx = 0.0
         sy = 0.0
         for k in range(n):
@@ -480,9 +294,29 @@ def _merge_close_flat(
     cyl: List[float],
     r_error: float,
 ) -> Tuple[List[float], List[float], List[int]]:
-    """Step 5 on float lists (the merge loop of ``_merge_close_arrays``
-    with the assignment rounds scalar as well)."""
+    """Step 5 on float lists, assignment rounds included."""
     assignment = _assign_flat(xs, ys, cxl, cyl)
+    cxl, cyl, any_merge = _merge_centers(cxl, cyl, assignment, r_error)
+    if any_merge:
+        assignment = _assign_flat(xs, ys, cxl, cyl)
+    return cxl, cyl, assignment
+
+
+def _merge_centers(
+    cxl: List[float],
+    cyl: List[float],
+    assignment: List[int],
+    r_error: float,
+) -> Tuple[List[float], List[float], bool]:
+    """Step 5's merge loop, shared by both routes.
+
+    Merges the first pair of centres within ``r_error`` at their
+    member-weighted average, appends the merged centre, and rescans
+    until no pair is that close.  Member counts come from
+    ``assignment`` (the round's opening assignment against these very
+    centres).  Returns the new centres and whether any merge fired --
+    without one, the closing assignment equals the opening one.
+    """
     counts = [0] * len(cxl)
     for cluster_idx in assignment:
         counts[cluster_idx] += 1
@@ -515,14 +349,11 @@ def _merge_close_flat(
                     break
             if merged:
                 break
-
-    if any_merge:
-        assignment = _assign_flat(xs, ys, cxl, cyl)
-    return cxl, cyl, assignment
+    return cxl, cyl, any_merge
 
 
 # ----------------------------------------------------------------------
-# Flat-array fast path
+# Numpy route (larger windows)
 # ----------------------------------------------------------------------
 #: Memoised pairwise-distance workspace keyed on window size -- the
 #: decision kernel clusters thousands of small same-sized windows per
@@ -548,21 +379,12 @@ def _pair_workspace(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return ws
 
 
-def _cluster_reports_arrays(
-    locations: Sequence[Point], r_error: float
-) -> List[ReportCluster]:
-    """Numpy path for ``Point`` sequences: convert once, then cluster."""
-    xs = np.array([p.x for p in locations], dtype=np.float64)
-    ys = np.array([p.y for p in locations], dtype=np.float64)
-    return _cluster_reports_xy(xs, ys, r_error)
-
-
 def _cluster_reports_xy(
     xs: np.ndarray, ys: np.ndarray, r_error: float
 ) -> List[ReportCluster]:
     """Numpy implementation over flat ``(xs, ys)`` arrays (``n >= 2``).
 
-    Bit-identical to the scalar path: distances are the same
+    Bit-identical to the flat route: distances are the same
     correctly-rounded ``sqrt(dx*dx + dy*dy)`` expression evaluated
     elementwise, argmin/argmax tie-break at the lowest index exactly
     like the scalar scans, and centroids are accumulated sequentially
@@ -590,11 +412,11 @@ def _cluster_reports_xy(
     # its mirror j*n + i, so the first occurrence of the maximum is
     # always the lexicographically-first upper-triangle pair.  (The
     # all-coincident window lands on the zero diagonal, which the
-    # single-cluster exit below absorbs exactly like the scalar path.)
+    # single-cluster exit below absorbs exactly like the flat route.)
     m = int(np.argmax(dmat))
     i, j = divmod(m, n)
     if float(dmat[i, j]) <= r_error:
-        # Single-cluster early exit, mirroring the scalar path: the
+        # Single-cluster early exit, mirroring the flat route: the
         # centre is accumulated left-to-right exactly as
         # _build_clusters_arrays would.
         sx = 0.0
@@ -610,19 +432,18 @@ def _cluster_reports_xy(
         ]
 
     center_idx = _seed_center_indices(dmat, n, r_error, i, j)
-    cx, cy = xs[center_idx], ys[center_idx]
+    k = len(center_idx)
     # Carry each round's closing assignment into the next round (see
-    # the scalar path).  The initial centres are report rows, so their
+    # the flat route).  The initial centres are report rows, so their
     # distance columns already sit in ``dmat`` -- the opening
     # assignment is a gather, not a recompute (same bits: dmat[a, c]
     # was produced by the very expression _assign_arrays evaluates).
     assignment: List[int] = []
     current = np.argmin(dmat[:, center_idx], axis=1).tolist()
     for _ in range(_MAX_ROUNDS):
-        cx, cy = _recenter_arrays(xs_list, ys_list, current, len(cx))
-        cx, cy, current = _merge_close_arrays(
-            xs, ys, cx, cy, r_error
-        )
+        cxl, cyl = _recenter_flat(xs_list, ys_list, current, k)
+        cxl, cyl, current = _merge_close_arrays(xs, ys, cxl, cyl, r_error)
+        k = len(cxl)
         if current == assignment:
             break
         assignment = current
@@ -641,8 +462,8 @@ def _seed_center_indices(
 
     Greedy coverage seeding tracks a ``covered`` mask: a report is
     covered once any existing centre lies within ``r_error``, which is
-    exactly the negation of the scalar path's ``all(distance >
-    r_error)`` test, applied in the same index order.
+    exactly the flat route's "no centre within ``r_error``" test,
+    applied in the same index order.
     """
     center_idx = [i, j]
     covered = (dmat[i] <= r_error) | (dmat[j] <= r_error)
@@ -656,7 +477,7 @@ def _seed_center_indices(
 
 
 def _assign_arrays(
-    xs: np.ndarray, ys: np.ndarray, cx: np.ndarray, cy: np.ndarray
+    xs: np.ndarray, ys: np.ndarray, cxl: List[float], cyl: List[float]
 ) -> List[int]:
     """Step 4 vectorised; ``np.argmin`` keeps the lowest tied index.
 
@@ -665,6 +486,8 @@ def _assign_arrays(
     report rows and only merge).  The matrix is never read after the
     opening assignment, so clobbering it here is safe.
     """
+    cx = np.array(cxl, dtype=np.float64)
+    cy = np.array(cyl, dtype=np.float64)
     k = len(cx)
     work_a, work_b = _pair_workspace(len(xs))
     da = work_a[:, :k]
@@ -678,90 +501,23 @@ def _assign_arrays(
     return np.argmin(d, axis=1).tolist()
 
 
-def _recenter_arrays(
-    xs_list: List[float],
-    ys_list: List[float],
-    assignment: List[int],
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Centres of gravity with the scalar path's sequential summation.
-
-    ``np.sum`` uses pairwise summation, which rounds differently from
-    the reference's left-to-right ``sum``; accumulating in plain Python
-    floats in ascending report order keeps the bits identical.
-    """
-    sx = [0.0] * k
-    sy = [0.0] * k
-    counts = [0] * k
-    for idx, cluster_idx in enumerate(assignment):
-        sx[cluster_idx] += xs_list[idx]
-        sy[cluster_idx] += ys_list[idx]
-        counts[cluster_idx] += 1
-    new_cx = [sx[a] / float(counts[a]) for a in range(k) if counts[a]]
-    new_cy = [sy[a] / float(counts[a]) for a in range(k) if counts[a]]
-    return (
-        np.array(new_cx, dtype=np.float64),
-        np.array(new_cy, dtype=np.float64),
-    )
-
-
 def _merge_close_arrays(
     xs: np.ndarray,
     ys: np.ndarray,
-    cx: np.ndarray,
-    cy: np.ndarray,
+    cxl: List[float],
+    cyl: List[float],
     r_error: float,
-) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-    """Step 5 with vectorised assignment rounds and a scalar merge loop.
+) -> Tuple[List[float], List[float], List[int]]:
+    """Step 5 with vectorised assignment rounds.
 
     The merge loop itself runs on plain float lists: centre counts are
-    small after seeding, and the scalar expressions mirror the
-    reference's ``distance_to`` / ``weighted_centroid`` arithmetic
-    operation-for-operation.
+    small after seeding.
     """
-    assignment = _assign_arrays(xs, ys, cx, cy)
-    counts = [0] * len(cx)
-    for cluster_idx in assignment:
-        counts[cluster_idx] += 1
-
-    cxl = cx.tolist()
-    cyl = cy.tolist()
-    any_merge = False
-    merged = True
-    while merged and len(cxl) > 1:
-        merged = False
-        for a in range(len(cxl)):
-            for b in range(a + 1, len(cxl)):
-                ddx = cxl[a] - cxl[b]
-                ddy = cyl[a] - cyl[b]
-                if math.sqrt(ddx * ddx + ddy * ddy) <= r_error:
-                    weight_a = max(counts[a], 1)
-                    weight_b = max(counts[b], 1)
-                    total = float(weight_a + weight_b)
-                    new_x = (cxl[a] * weight_a + cxl[b] * weight_b) / total
-                    new_y = (cyl[a] * weight_a + cyl[b] * weight_b) / total
-                    cxl = [
-                        c for idx, c in enumerate(cxl) if idx not in (a, b)
-                    ] + [new_x]
-                    cyl = [
-                        c for idx, c in enumerate(cyl) if idx not in (a, b)
-                    ] + [new_y]
-                    counts = [
-                        n for idx, n in enumerate(counts) if idx not in (a, b)
-                    ] + [weight_a + weight_b]
-                    merged = True
-                    any_merge = True
-                    break
-            if merged:
-                break
-
-    cx = np.array(cxl, dtype=np.float64)
-    cy = np.array(cyl, dtype=np.float64)
+    assignment = _assign_arrays(xs, ys, cxl, cyl)
+    cxl, cyl, any_merge = _merge_centers(cxl, cyl, assignment, r_error)
     if any_merge:
-        # Without a merge the closing assignment equals the opening one
-        # (identical centres); skip the recompute.
-        assignment = _assign_arrays(xs, ys, cx, cy)
-    return cx, cy, assignment
+        assignment = _assign_arrays(xs, ys, cxl, cyl)
+    return cxl, cyl, assignment
 
 
 def _build_clusters_arrays(

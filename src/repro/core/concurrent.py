@@ -15,17 +15,10 @@ cannot use a single global collection window.  Instead:
 
 Two circles overlap when their centres are closer than ``2 * r_error``.
 
-The tracker runs in one of two modes, fixed at construction:
-
-* **object mode** (``on_group=``): circles collect
-  :class:`~repro.core.location.LocationReport` objects and a closed
-  group delivers the merged, ``(time, node_id)``-sorted report list --
-  the retained oracle path.
-* **row mode** (``buffer=`` + ``on_group_rows=``): circles collect row
-  indices into a :class:`~repro.core.decision_kernel.ReportBuffer` and
-  a closed group delivers the lexsorted row-index array.  The sort key
-  and stability match the object path's ``list.sort`` exactly, and the
-  buffer is reset whenever the last open circle closes.
+Reports live as rows of a :class:`~repro.core.decision_kernel.
+ReportBuffer`; circles collect row indices, and a closed group is
+delivered as its rows sorted by ``(time, node_id)``.  The buffer is
+reset whenever the last open circle closes.
 """
 
 from __future__ import annotations
@@ -33,11 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.core.location import LocationReport
+from repro.core.decision_kernel import ReportBuffer
 from repro.network.geometry import Point
 from repro.simkernel.simulator import Simulator
 
@@ -62,15 +55,15 @@ class EventCircle:
         The first report's location -- fixed for the circle's lifetime.
     expires_at:
         Absolute simulation time of this circle's ``T_out`` expiry.
-    reports:
-        Reports collected so far, in arrival order.
+    rows:
+        The circle's reports so far, as indices into the tracker's
+        :class:`~repro.core.decision_kernel.ReportBuffer`, in arrival
+        order.
     """
 
     center: Point
     expires_at: float
     circle_id: int = field(default_factory=lambda: next(_circle_ids))
-    reports: List[LocationReport] = field(default_factory=list)
-    #: Row-mode membership: indices into the tracker's ReportBuffer.
     rows: List[int] = field(default_factory=list)
     closed: bool = False
 
@@ -94,17 +87,14 @@ class CircleTracker:
         Circle radius.
     t_out:
         Per-circle collection window ``T_out``.
-    on_group:
-        Object mode: called as ``on_group(reports)`` with the merged
-        report list of each fully expired overlapping circle group.
+    buffer:
+        Row store for arriving reports (see :meth:`on_report_row`).
+    on_group_rows:
+        Called as ``on_group_rows(row_indices)`` with each fully
+        expired overlapping circle group, as a ``(time,
+        node_id)``-lexsorted ``np.intp`` index array into ``buffer``.
         The caller then clusters and votes (see
-        :class:`repro.core.location.LocationDecisionEngine`).
-    buffer / on_group_rows:
-        Row mode: reports enter via :meth:`on_report_row` as buffer
-        rows, and ``on_group_rows(row_indices)`` receives each closed
-        group as a ``(time, node_id)``-lexsorted ``np.intp`` index
-        array into ``buffer``.  Exactly one of ``on_group`` /
-        ``on_group_rows`` must be given.
+        :class:`repro.core.decision_kernel.DecisionKernel`).
     """
 
     def __init__(
@@ -112,33 +102,23 @@ class CircleTracker:
         sim: Simulator,
         r_error: float,
         t_out: float,
-        on_group: Optional[Callable[[List[LocationReport]], None]] = None,
-        buffer=None,
-        on_group_rows: Optional[Callable[[np.ndarray], None]] = None,
+        buffer: ReportBuffer,
+        on_group_rows: Callable[[np.ndarray], None],
     ) -> None:
         if r_error <= 0:
             raise ValueError(f"r_error must be positive, got {r_error}")
         if t_out <= 0:
             raise ValueError(f"t_out must be positive, got {t_out}")
-        if (on_group is None) == (on_group_rows is None):
-            raise ValueError(
-                "exactly one of on_group / on_group_rows must be given"
-            )
-        if (on_group_rows is None) != (buffer is None):
-            raise ValueError(
-                "buffer is required with (and only with) on_group_rows"
-            )
         self._sim = sim
         self._spans = sim.spans
         self.r_error = r_error
         self.t_out = t_out
-        self._on_group = on_group
         self._on_group_rows = on_group_rows
         self._buffer = buffer
         self._circles: Dict[int, EventCircle] = {}
         # Flat per-open-circle centre coordinates, kept parallel to
-        # ``_open_ids`` in circle-creation order: ``on_report`` runs for
-        # every arriving report, so membership is decided on plain
+        # ``_open_ids`` in circle-creation order: ``on_report_row`` runs
+        # for every arriving report, so membership is decided on plain
         # floats instead of chasing ``Point`` attributes through the
         # circle objects.  Rebuilt whenever a group closes.
         self._open_ids: List[int] = []
@@ -150,38 +130,13 @@ class CircleTracker:
     # ------------------------------------------------------------------
     # Input
     # ------------------------------------------------------------------
-    def on_report(self, report: LocationReport) -> EventCircle:
+    def on_report_row(self, node_id: int, x: float, y: float) -> None:
         """Route one arriving report to its circle (opening one if needed).
 
-        Scans open-circle centres in creation order (the same order the
-        circle dict iterates) and joins the first circle containing the
-        report -- the flat-array mirror of ``EventCircle.contains``.
-        """
-        x = report.location.x
-        y = report.location.y
-        r_error = self.r_error
-        for pos, circle_id in enumerate(self._open_ids):
-            dx = self._open_x[pos] - x
-            dy = self._open_y[pos] - y
-            if math.sqrt(dx * dx + dy * dy) <= r_error:
-                circle = self._circles[circle_id]
-                circle.reports.append(report)
-                spans = self._spans
-                if spans.enabled:
-                    spans.point(
-                        "window.report",
-                        parent=spans.current,
-                        circle=circle_id,
-                        node=report.node_id,
-                    )
-                return circle
-        return self._open_circle(report)
-
-    def on_report_row(self, node_id: int, x: float, y: float) -> None:
-        """Row-mode :meth:`on_report`: append to the buffer and route.
-
-        Same circle-scan order and membership rule as the object path;
-        the report exists only as a buffer row.
+        The report is appended to the buffer at the current simulation
+        time.  Open-circle centres are scanned in creation order and
+        the report joins the first circle containing it -- the
+        flat-float form of :meth:`EventCircle.contains`.
         """
         row = self._buffer.append(node_id, x, y, self._sim.now)
         r_error = self.r_error
@@ -235,25 +190,8 @@ class CircleTracker:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _open_circle(self, report: LocationReport) -> EventCircle:
-        circle = EventCircle(
-            center=report.location,
-            expires_at=self._sim.now + self.t_out,
-        )
-        circle.reports.append(report)
-        self._register_circle(circle)
-        spans = self._spans
-        if spans.enabled:
-            spans.point(
-                "window.report",
-                parent=spans.current,
-                circle=circle.circle_id,
-                node=report.node_id,
-            )
-        return circle
-
     def _register_circle(self, circle: EventCircle) -> None:
-        """Shared circle bookkeeping: dict, flat lists, timer, trace."""
+        """New-circle bookkeeping: dict, flat lists, timer, trace."""
         self._circles[circle.circle_id] = circle
         self._open_ids.append(circle.circle_id)
         self._open_x.append(circle.center.x)
@@ -301,7 +239,7 @@ class CircleTracker:
         ``_circles`` holds only open circles (closed ones are deleted in
         the same step that marks them), and dict deletion preserves the
         insertion order of the survivors, so this recovers exactly the
-        scan order ``on_report`` needs.
+        scan order ``on_report_row`` needs.
         """
         self._open_ids = list(self._circles)
         self._open_x = [c.center.x for c in self._circles.values()]
@@ -322,49 +260,14 @@ class CircleTracker:
         return [component[cid] for cid in sorted(component)]
 
     def _close_group(self, seed: EventCircle) -> None:
-        group = self._overlap_component(seed)
-        if self._on_group_rows is not None:
-            self._close_group_rows(group)
-            return
-        merged: List[LocationReport] = []
-        for circle in group:
-            circle.closed = True
-            merged.extend(circle.reports)
-            del self._circles[circle.circle_id]
-        self._rebuild_open()
-        merged.sort(key=lambda r: (r.time, r.node_id))
-        self.groups_closed += 1
-        self._sim.trace.emit(
-            self._sim.now,
-            "concurrent.close",
-            circles=[c.circle_id for c in group],
-            reports=len(merged),
-        )
-        spans = self._spans
-        if spans.enabled:
-            saved = spans.current
-            spans.current = spans.point(
-                "window.close",
-                parent=saved,
-                circles=[c.circle_id for c in group],
-                reports=len(merged),
-            )
-            try:
-                self._on_group(merged)
-            finally:
-                spans.current = saved
-            return
-        self._on_group(merged)
-
-    def _close_group_rows(self, group: List[EventCircle]) -> None:
-        """Row-mode group close: deliver lexsorted buffer row indices.
+        """Close ``seed``'s overlap group and deliver its sorted rows.
 
         ``np.lexsort((ids, times))`` sorts by time with node id as the
         tie-breaker and is stable, so equal ``(time, node_id)`` rows
-        keep their concatenation order -- exactly the object path's
-        ``merged.sort(key=(time, node_id))`` over the same circle
-        order.  The buffer resets once no circle remains open.
+        keep their circle-concatenation order.  The buffer resets once
+        no circle remains open.
         """
+        group = self._overlap_component(seed)
         rows: List[int] = []
         for circle in group:
             circle.closed = True

@@ -1,53 +1,45 @@
-"""Struct-of-arrays cluster-head decision kernel.
+"""Struct-of-arrays cluster-head decision kernel (§3.2).
 
-The object pipeline (:class:`repro.core.location.LocationDecisionEngine`)
-materialises a :class:`~repro.core.location.LocationReport` per arriving
-report, sorts and dedupes them through Python sets, clusters a list of
-``Point`` objects, and splits supporters from dissenters with more set
-arithmetic.  Profiling shows that pipeline consuming about half of an
-Experiment-4 sweep point.  This module is the flat-array replacement:
+This is the cluster head's one location decision pipeline:
 
 * :class:`ReportBuffer` -- preallocated parallel row arrays (node id,
   x, y, arrival time).  The cluster head appends one row per arriving
   report, so a collection window closes already in struct-of-arrays
-  form; no ``LocationReport`` objects exist on the hot path.
+  form.
 * :class:`DecisionKernel` -- the window pipeline over those rows:
-  dedupe and the §2.1 implausibility gate are vectorised masks (node
-  positions come from the deployment's cached coords snapshot,
+  dedupe (earliest report per node wins), the §2.1 implausibility gate
+  (node positions come from the deployment's cached coords snapshot,
   :meth:`~repro.network.topology.Deployment.coords_arrays`), clustering
-  runs through the crossover-free
-  :func:`~repro.core.clustering.cluster_reports_xy`, and each cluster's
-  supporter/dissenter split is array arithmetic over the sorted
-  neighbour ids from
-  :meth:`~repro.network.topology.Deployment.event_neighbors_array`.
+  (:mod:`repro.core.clustering`), and one CTI vote per cluster, whose
+  supporter/dissenter split is taken against the sorted neighbour ids
+  of the cluster centre.
 
-Backend selection: ``TIBFIT_DECISION=array`` (default) runs this
-kernel, ``TIBFIT_DECISION=object`` runs the retained object pipeline.
-The object path is the bit-identity oracle -- the randomized
-and property differential suites (``tests/core/test_decision_kernel.py``,
-``tests/property/test_decision_kernel_properties.py``) assert both
-backends produce identical decisions, supporter/dissenter tuples,
-trust-update call sequences, and full-run replay fingerprints.
+Windows under ``_SMALL_WINDOW_ROWS`` rows take a flat scalar route
+(plain float loops, dict position lookups, set membership); larger
+windows run vectorised masks.  The two routes are bit-identical to
+each other and to the original object pipeline, which is kept as a test
+oracle in ``tests/oracles/decision.py``; the randomized and property
+differential suites (``tests/core/test_decision_kernel.py``,
+``tests/property/test_decision_kernel_properties.py``) compare
+decisions, supporter/dissenter tuples, trust-update call sequences and
+final trust state against it.
 
 Bit-identity is by construction, not by tolerance:
 
 * every distance is the same correctly-rounded ``sqrt(dx*dx + dy*dy)``
-  expression the scalar code evaluates (see
-  :meth:`repro.network.geometry.Point.distance_to`);
+  expression (see :meth:`repro.network.geometry.Point.distance_to`);
 * dedupe keeps the first row per node over rows sorted by
-  ``(time, node_id)`` -- exactly the object path's earliest-wins rule;
+  ``(time, node_id)`` -- the earliest-wins rule;
 * liar penalties apply in window order, cluster votes in cluster order,
   through the very same :class:`~repro.core.trust.TrustTable` calls;
 * supporter/dissenter tuples are plain Python ints (``.tolist()``), so
-  trace records, partition-memo keys, and replay fingerprints hash and
-  compare identically to the object path's tuples.
+  trace records and replay fingerprints hash and compare identically.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,12 +56,8 @@ from repro.network.topology import Deployment
 from repro.obs.spans import NULL_SPANS
 
 __all__ = [
-    "DECISION_ENV",
-    "DECISION_BACKENDS",
-    "DEFAULT_DECISION_BACKEND",
     "DecisionKernel",
     "ReportBuffer",
-    "resolve_decision_backend",
 ]
 
 Voter = Union[CtiVoter, MajorityVoter]
@@ -80,40 +68,6 @@ Voter = Union[CtiVoter, MajorityVoter]
 #: swamps the actual arithmetic; plain float loops over the same row
 #: data win until roughly this many reports.
 _SMALL_WINDOW_ROWS = 32
-
-#: Environment variable selecting the CH decision backend.
-DECISION_ENV = "TIBFIT_DECISION"
-
-#: Valid backends: ``object`` is the retained oracle pipeline,
-#: ``array`` the struct-of-arrays kernel.
-DECISION_BACKENDS = ("object", "array")
-
-DEFAULT_DECISION_BACKEND = "array"
-
-
-def resolve_decision_backend(name: Optional[str] = None) -> str:
-    """Resolve the decision backend: explicit arg, else $TIBFIT_DECISION.
-
-    Returns ``"object"`` or ``"array"`` (the default).  Raises
-    ``ValueError`` on anything else, naming the environment variable
-    when the bad value came from the environment.
-    """
-    if name is None:
-        env = os.environ.get(DECISION_ENV)
-        if env is None or env == "":
-            return DEFAULT_DECISION_BACKEND
-        if env not in DECISION_BACKENDS:
-            raise ValueError(
-                f"{DECISION_ENV} must be one of {DECISION_BACKENDS}, "
-                f"got {env!r}"
-            )
-        return env
-    if name not in DECISION_BACKENDS:
-        raise ValueError(
-            f"decision backend must be one of {DECISION_BACKENDS}, "
-            f"got {name!r}"
-        )
-    return name
 
 
 def _in_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -181,14 +135,21 @@ class ReportBuffer:
 
 
 class DecisionKernel:
-    """Array-native window pipeline, bit-identical to the object engine.
+    """Turns closed windows of buffer rows into located decisions.
 
-    Construction mirrors
-    :class:`~repro.core.location.LocationDecisionEngine` (same
-    parameters, same validation, same spatial-index warm-up); the
-    difference is purely in representation -- :meth:`decide_rows`
-    consumes row indices into a :class:`ReportBuffer` instead of
-    ``LocationReport`` objects.
+    Parameters
+    ----------
+    deployment:
+        Node positions; the CH "knows the topology of the cluster" (§2)
+        and uses it both to gate claims and to find event neighbours.
+    sensing_radius:
+        ``r_s`` -- nodes within this range of a location are its event
+        neighbours and were expected to report.
+    r_error:
+        The localisation error bound used by the clustering heuristic.
+    voter:
+        A :class:`CtiVoter` (TIBFIT) or :class:`MajorityVoter`
+        (baseline).
     """
 
     #: Span collector (rebound by ``ClusterHead.attach``); the class
@@ -201,7 +162,6 @@ class DecisionKernel:
         sensing_radius: float,
         r_error: float,
         voter: Voter,
-        min_cluster_fraction: float = 0.0,
     ) -> None:
         if sensing_radius <= 0:
             raise ValueError(
@@ -209,19 +169,19 @@ class DecisionKernel:
             )
         if r_error <= 0:
             raise ValueError(f"r_error must be positive, got {r_error}")
-        if not 0.0 <= min_cluster_fraction <= 1.0:
-            raise ValueError("min_cluster_fraction must be in [0, 1]")
         self.deployment = deployment
         self.sensing_radius = sensing_radius
         self.r_error = r_error
         self.voter = voter
-        self.min_cluster_fraction = min_cluster_fraction
         self._limit = sensing_radius + r_error
         self._has_trust = hasattr(voter, "trust")
         # id -> (x, y) dict for the small-window scalar route, rebuilt
         # whenever the deployment's coords snapshot changes identity.
         self._pos: dict = {}
         self._pos_key: Optional[np.ndarray] = None
+        # Warm the spatial index with r_s as the grid cell size: every
+        # per-cluster event-neighbour query is a disk of exactly this
+        # radius, so a query touches at most a 3x3 block of cells.
         deployment.ensure_index(sensing_radius)
 
     def _positions(self) -> dict:
@@ -242,16 +202,14 @@ class DecisionKernel:
         """Process one closed window given as buffer row indices.
 
         ``rows`` must already be sorted by ``(time, node_id)`` -- the
-        circle tracker's close order, matching the object path's
-        pre-vote sort.  Returns the same
-        :class:`~repro.core.location.LocatedDecision` list, dominant
-        cluster first, that ``LocationDecisionEngine.decide`` produces
-        for the corresponding reports.
+        circle tracker's close order.  Duplicate reports from one node
+        keep only the earliest (a faulty node cannot stuff the ballot);
+        reports from ``excluded_nodes`` (diagnosed and isolated) are
+        ignored, and those nodes are not counted as expected reporters.
 
-        Windows below ``_SMALL_WINDOW_ROWS`` take a flat scalar route
-        over the same row data (plain float loops, dict position
-        lookups, set membership); larger windows run the vectorised
-        mask pipeline.  Both are bit-identical to the object oracle.
+        Returns one :class:`~repro.core.location.LocatedDecision` per
+        event cluster, dominant cluster first; empty when no usable
+        report arrived.
         """
         if len(rows) < _SMALL_WINDOW_ROWS:
             return self._decide_rows_small(buffer, rows, excluded_nodes)
@@ -285,8 +243,7 @@ class DecisionKernel:
 
         # §2.1 implausibility gate: a claim farther than r_s + r_error
         # from its sender's position is false on its face.  Unknown
-        # senders are dropped without penalty (the object path's
-        # position_of KeyError skip).
+        # senders are dropped without penalty.
         sid, sxs, sys_ = self.deployment.coords_arrays()
         if sid.size:
             slot = np.searchsorted(sid, ids)
@@ -322,24 +279,27 @@ class DecisionKernel:
             return []
 
         clusters = cluster_reports_xy(xs, ys, self.r_error)
-        min_size = self.min_cluster_fraction * ids.size
-        decisions: List[LocatedDecision] = []
+        return self._vote_clusters(clusters, self._vote_cluster, ids, excl)
+
+    def _vote_clusters(
+        self,
+        clusters: List[ReportCluster],
+        vote: Callable[..., LocatedDecision],
+        ids,
+        excluded,
+    ) -> List[LocatedDecision]:
+        """One ``vote(cluster, ids, excluded)`` per cluster, in order."""
         spans = self.spans
-        if spans.enabled:
-            # Each cluster parents under the window.filter span, not
-            # under its sibling cluster's vote machinery.
-            window_ctx = spans.current
-            for cluster in clusters:
-                if len(cluster) < min_size:
-                    continue
-                spans.current = window_ctx
-                decisions.append(self._vote_cluster(cluster, ids, excl))
-            spans.current = window_ctx
-            return decisions
+        if not spans.enabled:
+            return [vote(cluster, ids, excluded) for cluster in clusters]
+        # Each cluster parents under the window.filter span, not under
+        # its sibling cluster's vote machinery.
+        window_ctx = spans.current
+        decisions: List[LocatedDecision] = []
         for cluster in clusters:
-            if len(cluster) < min_size:
-                continue
-            decisions.append(self._vote_cluster(cluster, ids, excl))
+            spans.current = window_ctx
+            decisions.append(vote(cluster, ids, excluded))
+        spans.current = window_ctx
         return decisions
 
     def _decide_rows_small(
@@ -350,12 +310,10 @@ class DecisionKernel:
     ) -> List[LocatedDecision]:
         """Flat scalar window route: same pipeline, zero ufunc dispatch.
 
-        The object oracle's algorithm over the buffer's row data with
-        no ``LocationReport`` / ``Point`` intermediaries: dedupe is a
-        seen-set pass over the pre-sorted rows, the §2.1 gate is a dict
-        position lookup plus one scalar ``sqrt`` per report, and
-        clustering runs the float-list path.  Every operation and its
-        order mirror ``LocationDecisionEngine.decide`` exactly.
+        Dedupe is a seen-set pass over the pre-sorted rows, the §2.1
+        gate is a dict position lookup plus one scalar ``sqrt`` per
+        report, and clustering runs the float-list route.  Every
+        operation and its order match the vectorised route.
         """
         ids = buffer.ids[rows].tolist()
         xs = buffer.xs[rows].tolist()
@@ -393,8 +351,8 @@ class DecisionKernel:
                 liars.append(node_id)
         spans = self.spans
         if spans.enabled:
-            # Same filter-span structure as the vectorised route and
-            # the object oracle: emitted before the gate penalties.
+            # Same filter-span structure as the vectorised route:
+            # emitted before the gate penalties.
             spans.current = spans.point(
                 "window.filter",
                 parent=spans.current,
@@ -416,26 +374,9 @@ class DecisionKernel:
             clusters = cluster_reports_xy(
                 np.asarray(f_xs), np.asarray(f_ys), self.r_error
             )
-        min_size = self.min_cluster_fraction * len(f_ids)
-        decisions: List[LocatedDecision] = []
-        if spans.enabled:
-            window_ctx = spans.current
-            for cluster in clusters:
-                if len(cluster) < min_size:
-                    continue
-                spans.current = window_ctx
-                decisions.append(
-                    self._vote_cluster_small(cluster, f_ids, excluded)
-                )
-            spans.current = window_ctx
-            return decisions
-        for cluster in clusters:
-            if len(cluster) < min_size:
-                continue
-            decisions.append(
-                self._vote_cluster_small(cluster, f_ids, excluded)
-            )
-        return decisions
+        return self._vote_clusters(
+            clusters, self._vote_cluster_small, f_ids, excluded
+        )
 
     def _vote_cluster_small(
         self,
@@ -443,13 +384,13 @@ class DecisionKernel:
         ids: List[int],
         excluded: set,
     ) -> LocatedDecision:
-        """Scalar supporter/dissenter split (the oracle's set logic)."""
+        """Scalar supporter/dissenter split with Python sets."""
         supporters = tuple(sorted([ids[i] for i in cluster.indices]))
         supporter_set = set(supporters)
         center = cluster.center
         # event_neighbors_list has the same membership and ascending
-        # order as the oracle's event_neighbors list, through the
-        # memoised cell-range rows instead of a per-query bucket gather.
+        # order as Deployment.event_neighbors, through the memoised
+        # cell-range rows instead of a per-query bucket gather.
         neighbors = self.deployment.event_neighbors_list(
             center.x, center.y, self.sensing_radius
         )
@@ -529,7 +470,7 @@ class DecisionKernel:
             # No claimant could have sensed an event where the cluster
             # implies one: the cluster refutes itself (§2.1 caught
             # after clustering).  Claimants are penalised, nobody is
-            # rewarded -- same branch as the object path.
+            # rewarded.
             if self._has_trust:
                 self.voter.trust.penalize_many(supporters)
             return LocatedDecision(

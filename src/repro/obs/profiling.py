@@ -3,23 +3,20 @@
 Set ``TIBFIT_PROFILE=1`` and every :func:`repro.experiments.runner.run_sweep`
 task is wrapped in a wall-clock timer plus a **phase breakdown** --
 how much of the task sat inside the DES loop, the trust engine's vote
-path, the report-clustering heuristic, and the CH decision pipeline
-(either backend).  The breakdown feeds a
-:class:`SweepProfile`, which aggregates per-point wall time, worker
-utilisation and a slowest-point report, and can serialise itself as a
-sweep-level manifest next to the per-run artifacts.
+path, the report-clustering heuristic, and the CH decision kernel.
+The breakdown feeds a :class:`SweepProfile`, which aggregates
+per-point wall time, worker utilisation and a slowest-point report,
+and can serialise itself as a sweep-level manifest next to the per-run
+artifacts.
 
 Zero overhead when off
 ----------------------
 Phase timing works by *rebinding* the hot callables
 (``Simulator.run``, ``TrustTable.cti_vote``, the clustering entry
-points -- both the ``Point``-list ``cluster_reports`` and the array
-kernel's ``cluster_reports_xy`` -- and the window decision entry
-points ``DecisionKernel.decide_rows`` / ``LocationDecisionEngine.decide``,
-so the ``decision`` phase covers whichever ``TIBFIT_DECISION`` backend
-a run selects) to timing wrappers when
-:func:`install_phase_timers` runs, and
-restoring the originals on :func:`uninstall_phase_timers`.  Nothing is
+points ``cluster_reports_xy`` and ``cluster_reports_flat``, and the
+window decision entry point ``DecisionKernel.decide_rows``) to timing
+wrappers when :func:`install_phase_timers` runs, and restoring the
+originals on :func:`uninstall_phase_timers`.  Nothing is
 touched when profiling is off, so the unprofiled hot paths carry no
 residue -- not even a flag check.  The wrappers only time; they forward
 arguments and results untouched, which is why a profiled sweep is
@@ -100,58 +97,48 @@ def _timed(phase: str, fn):
     return wrapper
 
 
+#: Clustering entry points the decision kernel calls.  The kernel
+#: imports both by value, so each is rebound in the defining module and
+#: in the kernel module.  (``cluster_reports``, the ``Point`` adapter,
+#: only delegates to ``cluster_reports_xy`` and is left alone so its
+#: time is not counted twice.)
+_CLUSTERING_ENTRIES = ("cluster_reports_xy", "cluster_reports_flat")
+
+
 def install_phase_timers() -> None:
     """Rebind the phase hot points to timing wrappers (idempotent).
 
-    ``cluster_reports`` is imported *by value* into
-    ``repro.core.location`` (and ``cluster_reports_xy``, the array
-    kernel's entry point, into ``repro.core.decision_kernel``), so both
-    the defining module and each call site are rebound; anything else
-    holding a stale reference simply goes untimed rather than breaking.
+    The kernel's small-window route clusters through
+    ``cluster_reports_flat`` and its large-window route through
+    ``cluster_reports_xy``; both must be timed, or a location run
+    profiles as zero clustering time.  Anything else holding a stale
+    reference simply goes untimed rather than breaking.
     """
     global _installed
     if _installed:
         return
     from repro.core import clustering as _clustering
     from repro.core import decision_kernel as _kernel
-    from repro.core import location as _location
     from repro.core.decision_kernel import DecisionKernel
-    from repro.core.location import LocationDecisionEngine
     from repro.core.trust import TrustTable
     from repro.simkernel.simulator import Simulator
 
     _originals["sim_run"] = Simulator.run
     _originals["cti_vote"] = TrustTable.cti_vote
-    _originals["cluster_reports"] = _clustering.cluster_reports
-    _originals["location_cluster_reports"] = _location.cluster_reports
-    _originals["cluster_reports_xy"] = _clustering.cluster_reports_xy
-    _originals["kernel_cluster_reports_xy"] = _kernel.cluster_reports_xy
     _originals["kernel_decide_rows"] = DecisionKernel.decide_rows
-    _originals["engine_decide"] = LocationDecisionEngine.decide
 
     Simulator.run = _timed("des", Simulator.run)  # type: ignore[assignment]
     TrustTable.cti_vote = _timed(  # type: ignore[assignment]
         "trust", TrustTable.cti_vote
     )
-    timed_clustering = _timed("clustering", _clustering.cluster_reports)
-    _clustering.cluster_reports = timed_clustering
-    _location.cluster_reports = timed_clustering
-    timed_clustering_xy = _timed(
-        "clustering", _clustering.cluster_reports_xy
-    )
-    _clustering.cluster_reports_xy = timed_clustering_xy
-    _kernel.cluster_reports_xy = timed_clustering_xy
-    # Both window-pipeline entry points share one phase so "decision"
-    # reads the same no matter which TIBFIT_DECISION backend runs.  The
-    # array kernel's small-window route bypasses cluster_reports_xy
-    # entirely (flat scalar clustering), so without this rebind the
-    # array backend would profile as near-zero clustering and nothing
-    # else -- the gap this phase closes.
+    for name in _CLUSTERING_ENTRIES:
+        original = getattr(_clustering, name)
+        _originals[name] = original
+        timed = _timed("clustering", original)
+        setattr(_clustering, name, timed)
+        setattr(_kernel, name, timed)
     DecisionKernel.decide_rows = _timed(  # type: ignore[assignment]
         "decision", DecisionKernel.decide_rows
-    )
-    LocationDecisionEngine.decide = _timed(  # type: ignore[assignment]
-        "decision", LocationDecisionEngine.decide
     )
     _installed = True
 
@@ -163,9 +150,7 @@ def uninstall_phase_timers() -> None:
         return
     from repro.core import clustering as _clustering
     from repro.core import decision_kernel as _kernel
-    from repro.core import location as _location
     from repro.core.decision_kernel import DecisionKernel
-    from repro.core.location import LocationDecisionEngine
     from repro.core.trust import TrustTable
     from repro.simkernel.simulator import Simulator
 
@@ -173,15 +158,12 @@ def uninstall_phase_timers() -> None:
     TrustTable.cti_vote = _originals.pop(  # type: ignore[assignment]
         "cti_vote"
     )
-    _clustering.cluster_reports = _originals.pop("cluster_reports")
-    _location.cluster_reports = _originals.pop("location_cluster_reports")
-    _clustering.cluster_reports_xy = _originals.pop("cluster_reports_xy")
-    _kernel.cluster_reports_xy = _originals.pop("kernel_cluster_reports_xy")
+    for name in _CLUSTERING_ENTRIES:
+        original = _originals.pop(name)
+        setattr(_clustering, name, original)
+        setattr(_kernel, name, original)
     DecisionKernel.decide_rows = _originals.pop(  # type: ignore[assignment]
         "kernel_decide_rows"
-    )
-    LocationDecisionEngine.decide = _originals.pop(  # type: ignore[assignment]
-        "engine_decide"
     )
     _installed = False
 

@@ -66,7 +66,6 @@ class ServiceConfig:
     trust: TrustParameters = field(default_factory=TrustParameters)
     use_trust: bool = True
     diagnosis_threshold: Optional[float] = None
-    decision_backend: Optional[str] = None
     max_sessions: int = 100_000
 
 
@@ -93,7 +92,6 @@ def default_session_factory(
         trust=config.trust,
         use_trust=config.use_trust,
         diagnosis_threshold=config.diagnosis_threshold,
-        decision_backend=config.decision_backend,
     )
 
     def build(key: str) -> TrustSession:
@@ -102,12 +100,26 @@ def default_session_factory(
     return build
 
 
-class _ApiError(Exception):
-    """An error with an HTTP status, rendered as a JSON body."""
+#: Largest request body the server will read.  A session-state
+#: document for thousands of windows is well under a megabyte; the
+#: bound keeps a forged ``Content-Length`` from asking the socket
+#: reader for more memory than the process has.
+_MAX_BODY_BYTES = 64 * 1024 * 1024
 
-    def __init__(self, status: int, message: str) -> None:
+
+class _ApiError(Exception):
+    """An error with an HTTP status, rendered as a JSON body.
+
+    ``close`` asks for the connection to be closed after the response,
+    for errors that leave the request body's extent unknown.
+    """
+
+    def __init__(
+        self, status: int, message: str, close: bool = False
+    ) -> None:
         super().__init__(message)
         self.status = status
+        self.close = close
 
 
 def _parse_int(value: object, what: str) -> int:
@@ -163,16 +175,41 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
         return self.server.manager  # type: ignore[attr-defined]
 
     # -- plumbing ------------------------------------------------------
-    def _send_json(self, status: int, doc: Dict[str, object]) -> None:
+    def _send_json(
+        self, status: int, doc: Dict[str, object], close: bool = False
+    ) -> None:
         body = json.dumps(doc).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection, ending the keep-alive loop.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _content_length(self) -> int:
+        """The request's ``Content-Length``, or a 400 naming it.
+
+        A non-integer, negative or oversized value leaves the body's
+        extent unknown, so the connection is closed after the 400.
+        """
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= _MAX_BODY_BYTES:
+            raise _ApiError(
+                400,
+                f"Content-Length must be an integer in "
+                f"[0, {_MAX_BODY_BYTES}], got {raw!r}",
+                close=True,
+            )
+        return length
+
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -191,7 +228,7 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
         try:
             self._route(method, parts, query)
         except _ApiError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
+            self._send_json(exc.status, {"error": str(exc)}, close=exc.close)
         except KeyError:
             self._send_json(404, {"error": "unknown session"})
 

@@ -1,8 +1,11 @@
-"""Randomized equivalence: flat-array clustering vs. the scalar reference.
+"""Randomized equivalence: production clustering vs. the scalar reference.
 
-The fast path (`_cluster_reports_arrays`) must be *bit-identical* to the
-retained reference implementation -- same member indices, same cluster
-ordering, and exactly equal (``==``) centre coordinates -- across random
+Both production routes -- the flat float-list route
+(:func:`~repro.core.clustering.cluster_reports_flat`) and the numpy
+route behind :func:`~repro.core.clustering.cluster_reports_xy` -- must
+be *bit-identical* to the original per-``Point`` implementation in
+``tests/oracles/clustering.py``: same member indices, same cluster
+ordering, and exactly equal (``==``) centre coordinates, across random
 windows, tie constructions (coincident points, points exactly at the
 ``r_error`` boundary), and the degenerate empty / single-report inputs.
 """
@@ -11,12 +14,14 @@ import numpy as np
 import pytest
 
 from repro.core.clustering import (
-    _NUMPY_MIN_REPORTS,
-    _cluster_reports_arrays,
+    _FLAT_MIN_NUMPY,
+    _cluster_reports_xy,
     cluster_reports,
-    cluster_reports_reference,
+    cluster_reports_flat,
 )
 from repro.network.geometry import Point
+
+from tests.oracles.clustering import cluster_reports_reference
 
 
 def assert_identical(fast, ref):
@@ -25,6 +30,19 @@ def assert_identical(fast, ref):
     for f, r in zip(fast, ref):
         assert f.indices == r.indices
         assert f.center == r.center
+
+
+def assert_routes_match_reference(pts, r_error):
+    """Both production routes, forced regardless of window size, and
+    the size-dispatching adapter all match the reference."""
+    ref = cluster_reports_reference(pts, r_error)
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
+    assert_identical(cluster_reports_flat(xs, ys, r_error), ref)
+    assert_identical(
+        _cluster_reports_xy(np.array(xs), np.array(ys), r_error), ref
+    )
+    assert_identical(cluster_reports(pts, r_error), ref)
 
 
 def random_window(rng, n, r_error):
@@ -58,17 +76,11 @@ class TestDegenerateInputs:
 
     def test_two_coincident_reports(self):
         pts = [Point(7.0, 7.0), Point(7.0, 7.0)]
-        assert_identical(
-            _cluster_reports_arrays(pts, 5.0),
-            cluster_reports_reference(pts, 5.0),
-        )
+        assert_routes_match_reference(pts, 5.0)
 
     def test_all_coincident(self):
         pts = [Point(1.0, 2.0)] * 40
-        assert_identical(
-            _cluster_reports_arrays(pts, 5.0),
-            cluster_reports_reference(pts, 5.0),
-        )
+        assert_routes_match_reference(pts, 5.0)
 
 
 class TestBoundaryTies:
@@ -76,18 +88,13 @@ class TestBoundaryTies:
         """distance == r_error exactly (3-4-5): stays one cluster in
         both paths, exercising the `<=` boundary in seeding/merging."""
         pts = [Point(0.0, 0.0), Point(3.0, 4.0), Point(6.0, 8.0)]
-        assert_identical(
-            _cluster_reports_arrays(pts, 5.0),
-            cluster_reports_reference(pts, 5.0),
-        )
+        assert_routes_match_reference(pts, 5.0)
 
     def test_equidistant_report_ties_to_lower_centre_index(self):
         """A report exactly midway between two seeds must land in the
         same cluster under both paths (lowest-index tie-break)."""
         pts = [Point(0.0, 0.0), Point(20.0, 0.0), Point(10.0, 0.0)]
-        fast = _cluster_reports_arrays(pts, 3.0)
-        ref = cluster_reports_reference(pts, 3.0)
-        assert_identical(fast, ref)
+        assert_routes_match_reference(pts, 3.0)
 
     def test_symmetric_farthest_pair_ties(self):
         """Several pairs share the maximum separation; both paths must
@@ -98,10 +105,7 @@ class TestBoundaryTies:
             Point(0.0, 10.0),
             Point(10.0, 10.0),
         ] * 3
-        assert_identical(
-            _cluster_reports_arrays(pts, 2.0),
-            cluster_reports_reference(pts, 2.0),
-        )
+        assert_routes_match_reference(pts, 2.0)
 
 
 class TestRandomizedEquivalence:
@@ -112,19 +116,16 @@ class TestRandomizedEquivalence:
             n = int(rng.integers(2, 140))
             r_error = float(rng.uniform(0.5, 20.0))
             pts = random_window(rng, n, r_error)
-            assert_identical(
-                _cluster_reports_arrays(pts, r_error),
-                cluster_reports_reference(pts, r_error),
-            )
+            assert_routes_match_reference(pts, r_error)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dispatch_matches_reference_both_sides_of_crossover(self, seed):
         rng = np.random.default_rng(2000 + seed)
         for n in (
             2,
-            _NUMPY_MIN_REPORTS - 1,
-            _NUMPY_MIN_REPORTS,
-            _NUMPY_MIN_REPORTS + 1,
+            _FLAT_MIN_NUMPY - 1,
+            _FLAT_MIN_NUMPY,
+            _FLAT_MIN_NUMPY + 1,
             60,
         ):
             r_error = float(rng.uniform(1.0, 10.0))
@@ -143,7 +144,4 @@ class TestRandomizedEquivalence:
             for x, y in rng.uniform(0.0, 50.0, (6, 2))
         ]
         pts = [base[int(i)] for i in rng.integers(0, 6, 80)]
-        assert_identical(
-            _cluster_reports_arrays(pts, 4.0),
-            cluster_reports_reference(pts, 4.0),
-        )
+        assert_routes_match_reference(pts, 4.0)

@@ -1,12 +1,15 @@
-"""Differential tests: array decision kernel vs the object-path oracle.
+"""Differential tests: the decision kernel vs the object-pipeline oracle.
 
 The struct-of-arrays :class:`~repro.core.decision_kernel.DecisionKernel`
-must be *bit-identical* to the retained
-:class:`~repro.core.location.LocationDecisionEngine` -- same decisions,
-same supporter/dissenter tuples, same trust-update call sequence in the
-same order, same final trust state.  These tests drive both pipelines
-over the same randomized windows (duplicates, excluded nodes,
-implausible claims, unknown senders) and compare everything.
+must be *bit-identical* to the original object pipeline,
+:class:`tests.oracles.decision.LocationDecisionEngine` -- same
+decisions, same supporter/dissenter tuples, same trust-update call
+sequence in the same order, same final trust state.  These tests drive
+both pipelines over the same randomized windows (duplicates, excluded
+nodes, implausible claims, unknown senders) and compare everything,
+including windows sized on each side of both crossovers: the kernel's
+small-window route (``_SMALL_WINDOW_ROWS``) and the clustering's flat
+route (``_FLAT_MIN_NUMPY``).
 """
 
 import random
@@ -16,17 +19,17 @@ import pytest
 
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import CtiVoter
+from repro.core.clustering import _FLAT_MIN_NUMPY
 from repro.core.decision_kernel import (
-    DECISION_BACKENDS,
-    DECISION_ENV,
+    _SMALL_WINDOW_ROWS,
     DecisionKernel,
     ReportBuffer,
-    resolve_decision_backend,
 )
-from repro.core.location import LocationDecisionEngine, LocationReport
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point, Region
 from repro.network.topology import Deployment
+
+from tests.oracles.decision import LocationDecisionEngine, LocationReport
 
 
 class RecordingTrustTable(TrustTable):
@@ -79,7 +82,7 @@ def make_deployment(positions):
 
 
 def make_pair(deployment, node_ids, r_s=20.0, r_error=5.0,
-              use_trust=True, min_cluster_fraction=0.0):
+              use_trust=True):
     """Build (engine, kernel) with independent but identical voters."""
     if use_trust:
         params = TrustParameters(lam=0.25, fault_rate=0.1)
@@ -93,14 +96,12 @@ def make_pair(deployment, node_ids, r_s=20.0, r_error=5.0,
         sensing_radius=r_s,
         r_error=r_error,
         voter=voter_obj,
-        min_cluster_fraction=min_cluster_fraction,
     )
     kernel = DecisionKernel(
         deployment=deployment,
         sensing_radius=r_s,
         r_error=r_error,
         voter=voter_arr,
-        min_cluster_fraction=min_cluster_fraction,
     )
     return engine, kernel
 
@@ -214,21 +215,70 @@ class TestRandomizedDifferential:
             assert (engine.voter.trust.export_state()
                     == kernel.voter.trust.export_state())
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_min_cluster_fraction_filter_matches(self, seed):
-        rng = random.Random(1000 + seed)
-        positions = {
-            i: Point(rng.uniform(0, 100), rng.uniform(0, 100))
-            for i in range(12)
-        }
-        deployment = make_deployment(positions)
-        engine, kernel = make_pair(
-            deployment, positions.keys(), min_cluster_fraction=0.4
+
+
+def crossover_window(rng, n):
+    """``n`` plausible reports from ``n`` distinct nodes, no duplicates.
+
+    Every report survives dedupe and the §2.1 gate, so the kernel sees
+    ``n`` rows and the clustering ``n`` reports.  Nodes sit around two
+    or three sites (some close enough to merge, some not), so the
+    clustering runs its seeding and merge rounds instead of the
+    single-cluster exit.
+    """
+    sites = [
+        Point(rng.uniform(25.0, 75.0), rng.uniform(25.0, 75.0))
+        for _ in range(rng.randint(2, 3))
+    ]
+    positions = {}
+    reports = []
+    for node_id in range(n):
+        site = sites[node_id % len(sites)]
+        positions[node_id] = Point(
+            site.x + rng.uniform(-8.0, 8.0), site.y + rng.uniform(-8.0, 8.0)
         )
-        reports = random_window(rng, 12, positions)
-        obj = engine.decide(reports)
-        arr = kernel_decide(kernel, reports)
-        assert_identical(obj, arr)
+        reports.append(LocationReport(
+            node_id=node_id,
+            location=Point(
+                site.x + rng.uniform(-3.0, 3.0),
+                site.y + rng.uniform(-3.0, 3.0),
+            ),
+            time=0.01 * rng.randint(0, n),
+        ))
+    # A few silent neighbours, so votes have dissenters.
+    for extra in range(n, n + 4):
+        site = rng.choice(sites)
+        positions[extra] = Point(site.x + 1.0, site.y - 1.0)
+    return positions, reports
+
+
+class TestRouteCrossovers:
+    @pytest.mark.parametrize("n", [
+        _FLAT_MIN_NUMPY - 1,
+        _FLAT_MIN_NUMPY,
+        _SMALL_WINDOW_ROWS - 1,
+        _SMALL_WINDOW_ROWS,
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_matches_oracle_at_crossover(self, n, seed):
+        """15 and 16 reports straddle the clustering's flat/numpy
+        crossover; 31 and 32 rows straddle the kernel's small-window
+        route.  Each size is decided three times, so trust carries
+        across windows."""
+        assert (_FLAT_MIN_NUMPY, _SMALL_WINDOW_ROWS) == (16, 32)
+        rng = random.Random(3000 + 100 * n + seed)
+        positions, reports = crossover_window(rng, n)
+        deployment = make_deployment(positions)
+        engine, kernel = make_pair(deployment, positions.keys())
+        for _ in range(3):
+            obj = engine.decide(reports)
+            arr = kernel_decide(kernel, reports)
+            assert len(reports) == n
+            assert sum(len(d.supporters) for d in obj) == n
+            assert_identical(obj, arr)
+        assert engine.voter.trust.calls == kernel.voter.trust.calls
+        assert (engine.voter.trust.export_state()
+                == kernel.voter.trust.export_state())
 
 
 class TestEdgeCases:
@@ -327,30 +377,6 @@ class TestReportBuffer:
             ReportBuffer(capacity=0)
 
 
-class TestBackendResolution:
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv(DECISION_ENV, raising=False)
-        assert resolve_decision_backend() == "array"
-
-    def test_env_selects_backend(self, monkeypatch):
-        for backend in DECISION_BACKENDS:
-            monkeypatch.setenv(DECISION_ENV, backend)
-            assert resolve_decision_backend() == backend
-
-    def test_bad_env_value_names_variable(self, monkeypatch):
-        monkeypatch.setenv(DECISION_ENV, "simd")
-        with pytest.raises(ValueError, match=DECISION_ENV):
-            resolve_decision_backend()
-
-    def test_explicit_arg_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(DECISION_ENV, "array")
-        assert resolve_decision_backend("object") == "object"
-
-    def test_bad_explicit_arg(self):
-        with pytest.raises(ValueError, match="decision backend"):
-            resolve_decision_backend("simd")
-
-
 class TestKernelValidation:
     def test_rejects_bad_parameters(self):
         deployment = make_deployment({0: Point(1.0, 1.0)})
@@ -360,7 +386,3 @@ class TestKernelValidation:
             DecisionKernel(deployment, 0.0, 5.0, voter)
         with pytest.raises(ValueError, match="r_error"):
             DecisionKernel(deployment, 20.0, -1.0, voter)
-        with pytest.raises(ValueError, match="min_cluster_fraction"):
-            DecisionKernel(
-                deployment, 20.0, 5.0, voter, min_cluster_fraction=1.5
-            )

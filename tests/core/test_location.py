@@ -1,16 +1,22 @@
-"""Unit tests for the location-determination decision engine (§3.2)."""
+"""Unit tests for the location-determination decision pipeline (§3.2).
 
+Windows are fed to :class:`~repro.core.decision_kernel.DecisionKernel`
+the way the circle tracker delivers them: one buffer row per report,
+closed as a ``(time, node_id)``-lexsorted row-index array.
+"""
+
+import numpy as np
 import pytest
 
 from repro.core.baseline import MajorityVoter
 from repro.core.binary import CtiVoter
-from repro.core.location import LocationDecisionEngine, LocationReport
+from repro.core.decision_kernel import DecisionKernel, ReportBuffer
 from repro.core.trust import TrustParameters, TrustTable
 from repro.network.geometry import Point, Region
 from repro.network.topology import Deployment
 
 
-def make_engine(positions, voter=None, r_s=20.0, r_error=5.0):
+def make_kernel(positions, voter=None, r_s=20.0, r_error=5.0):
     deployment = Deployment(region=Region.square(100.0))
     for node_id, pos in positions.items():
         deployment.add(node_id, pos)
@@ -21,7 +27,7 @@ def make_engine(positions, voter=None, r_s=20.0, r_error=5.0):
         )
         voter = CtiVoter(table)
     return (
-        LocationDecisionEngine(
+        DecisionKernel(
             deployment=deployment,
             sensing_radius=r_s,
             r_error=r_error,
@@ -29,6 +35,18 @@ def make_engine(positions, voter=None, r_s=20.0, r_error=5.0):
         ),
         voter,
     )
+
+
+def decide(kernel, reports, excluded_nodes=()):
+    """Decide one window of ``(node_id, x, y[, time])`` reports."""
+    buf = ReportBuffer()
+    rows = np.asarray(
+        [buf.append(r[0], r[1], r[2], r[3] if len(r) > 3 else 0.0)
+         for r in reports],
+        dtype=np.intp,
+    )
+    order = np.lexsort((buf.ids[rows], buf.times[rows]))
+    return kernel.decide_rows(buf, rows[order], excluded_nodes)
 
 
 CROWD = {
@@ -42,26 +60,21 @@ CROWD = {
 
 class TestDecisions:
     def test_unanimous_reports_yield_located_event(self):
-        engine, _ = make_engine(CROWD)
-        reports = [
-            LocationReport(node_id=i, location=Point(50.0, 50.0))
-            for i in CROWD
-        ]
-        decisions = engine.decide(reports)
+        kernel, _ = make_kernel(CROWD)
+        decisions = decide(kernel, [(i, 50.0, 50.0) for i in CROWD])
         assert len(decisions) == 1
         assert decisions[0].occurred
         assert decisions[0].location.distance_to(Point(50.0, 50.0)) < 0.01
         assert decisions[0].supporters == (0, 1, 2, 3, 4)
 
     def test_no_reports_yield_no_decisions(self):
-        engine, _ = make_engine(CROWD)
-        assert engine.decide([]) == []
+        kernel, _ = make_kernel(CROWD)
+        assert decide(kernel, []) == []
 
     def test_lone_false_report_is_outvoted(self):
         """A single liar's cluster loses to the silent trusted majority."""
-        engine, _ = make_engine(CROWD)
-        reports = [LocationReport(node_id=0, location=Point(50.0, 50.0))]
-        decisions = engine.decide(reports)
+        kernel, _ = make_kernel(CROWD)
+        decisions = decide(kernel, [(0, 50.0, 50.0)])
         assert len(decisions) == 1
         assert not decisions[0].occurred
         assert decisions[0].supporters == (0,)
@@ -70,14 +83,13 @@ class TestDecisions:
     def test_outlier_report_forms_losing_side_cluster(self):
         """§3.2: localisation errors beyond r_error are thrown out --
         the good cluster still wins and is well-located."""
-        engine, _ = make_engine(CROWD)
-        reports = [
-            LocationReport(node_id=0, location=Point(50.0, 50.0)),
-            LocationReport(node_id=1, location=Point(50.5, 49.5)),
-            LocationReport(node_id=2, location=Point(49.4, 50.2)),
-            LocationReport(node_id=3, location=Point(70.0, 70.0)),  # liar
-        ]
-        decisions = engine.decide(reports)
+        kernel, _ = make_kernel(CROWD)
+        decisions = decide(kernel, [
+            (0, 50.0, 50.0),
+            (1, 50.5, 49.5),
+            (2, 49.4, 50.2),
+            (3, 70.0, 70.0),  # liar
+        ])
         occurred = [d for d in decisions if d.occurred]
         assert len(occurred) == 1
         assert occurred[0].location.distance_to(Point(50.0, 50.0)) < 2.0
@@ -85,31 +97,28 @@ class TestDecisions:
         assert any(d.supporters == (3,) for d in rejected)
 
     def test_duplicate_reports_from_one_node_keep_earliest(self):
-        engine, _ = make_engine(CROWD)
-        reports = [
-            LocationReport(node_id=0, location=Point(50.0, 50.0), time=1.0),
-            LocationReport(node_id=0, location=Point(80.0, 80.0), time=2.0),
-        ]
-        decisions = engine.decide(reports)
+        kernel, _ = make_kernel(CROWD)
+        decisions = decide(kernel, [
+            (0, 50.0, 50.0, 1.0),
+            (0, 80.0, 80.0, 2.0),
+        ])
         all_supporters = [d.supporters for d in decisions]
         assert ((0,) in all_supporters)
         # The node's second (conflicting) report is ignored entirely.
         assert len([d for d in decisions if 0 in d.supporters]) == 1
 
     def test_out_of_order_duplicate_reports_keep_earliest(self):
-        """_dedupe only sorts when the input is actually unsorted (the
-        circle tracker pre-sorts); hand it a shuffled window with
-        duplicates and earliest-wins must still hold."""
-        engine, _ = make_engine(CROWD)
-        reports = [
+        """Reports arriving out of time order, with duplicates: once the
+        window is put in delivery order, earliest-wins must hold."""
+        kernel, _ = make_kernel(CROWD)
+        decisions = decide(kernel, [
             # Later duplicate listed first; also out of time order
-            # across nodes to force the fallback sort.
-            LocationReport(node_id=0, location=Point(80.0, 80.0), time=3.0),
-            LocationReport(node_id=1, location=Point(50.0, 50.0), time=2.0),
-            LocationReport(node_id=0, location=Point(50.0, 50.0), time=1.0),
-            LocationReport(node_id=1, location=Point(80.0, 80.0), time=2.5),
-        ]
-        decisions = engine.decide(reports)
+            # across nodes.
+            (0, 80.0, 80.0, 3.0),
+            (1, 50.0, 50.0, 2.0),
+            (0, 50.0, 50.0, 1.0),
+            (1, 80.0, 80.0, 2.5),
+        ])
         winning = [d for d in decisions if d.occurred or d.supporters]
         # Both nodes' earliest (coincident) claims form one cluster at
         # (50, 50); the later conflicting claims never enter play.
@@ -125,12 +134,10 @@ class TestDecisions:
         )
 
     def test_excluded_nodes_are_invisible(self):
-        engine, _ = make_engine(CROWD)
-        reports = [
-            LocationReport(node_id=i, location=Point(50.0, 50.0))
-            for i in CROWD
-        ]
-        decisions = engine.decide(reports, excluded_nodes=[0, 1])
+        kernel, _ = make_kernel(CROWD)
+        decisions = decide(
+            kernel, [(i, 50.0, 50.0) for i in CROWD], excluded_nodes=[0, 1]
+        )
         assert decisions[0].supporters == (2, 3, 4)
         assert 0 not in decisions[0].dissenters
 
@@ -138,11 +145,8 @@ class TestDecisions:
         """A report claiming an event far beyond the sender's sensing
         radius (+ slack) is §2.1's by-definition false alarm: dropped
         before clustering and penalised directly."""
-        engine, voter = make_engine(CROWD)
-        reports = [
-            LocationReport(node_id=0, location=Point(95.0, 95.0)),
-        ]
-        decisions = engine.decide(reports)
+        kernel, voter = make_kernel(CROWD)
+        decisions = decide(kernel, [(0, 95.0, 95.0)])
         assert decisions == []  # nothing left to cluster
         assert voter.trust.ti(0) < 1.0
 
@@ -150,34 +154,26 @@ class TestDecisions:
         """A borderline claim that passes the gate but whose implied
         event location has no claimant among its own event neighbours
         is rejected without a vote, and the claimant penalised."""
-        engine, voter = make_engine(CROWD)
+        kernel, voter = make_kernel(CROWD)
         # Node 3 at (55, 55) claims (76, 55): 21 away (within the
         # r_s + r_error = 25 gate) but more than r_s = 20 from every
         # node, itself included.
-        reports = [
-            LocationReport(node_id=3, location=Point(76.0, 55.0)),
-        ]
-        decisions = engine.decide(reports)
+        decisions = decide(kernel, [(3, 76.0, 55.0)])
         assert len(decisions) == 1
         assert not decisions[0].occurred
         assert decisions[0].vote is None
         assert voter.trust.ti(3) < 1.0
 
     def test_localisation_error_helper(self):
-        engine, _ = make_engine(CROWD)
-        reports = [
-            LocationReport(node_id=i, location=Point(51.0, 50.0))
-            for i in CROWD
-        ]
-        d = engine.decide(reports)[0]
+        kernel, _ = make_kernel(CROWD)
+        d = decide(kernel, [(i, 51.0, 50.0) for i in CROWD])[0]
         assert d.localisation_error(Point(50.0, 50.0)) == pytest.approx(1.0)
 
 
 class TestTrustIntegration:
     def test_losing_reporters_are_penalized(self):
-        engine, voter = make_engine(CROWD)
-        reports = [LocationReport(node_id=0, location=Point(50.0, 50.0))]
-        engine.decide(reports)
+        kernel, voter = make_kernel(CROWD)
+        decide(kernel, [(0, 50.0, 50.0)])
         assert voter.trust.ti(0) < 1.0
         assert voter.trust.ti(1) == 1.0
 
@@ -188,21 +184,13 @@ class TestTrustIntegration:
         for _ in range(8):
             for liar in (2, 3, 4):
                 table.penalize(liar)
-        engine, _ = make_engine(CROWD, voter=CtiVoter(table))
-        reports = [
-            LocationReport(node_id=0, location=Point(50.0, 50.0)),
-            LocationReport(node_id=1, location=Point(50.3, 49.8)),
-        ]
-        decisions = engine.decide(reports)
+        kernel, _ = make_kernel(CROWD, voter=CtiVoter(table))
+        decisions = decide(kernel, [(0, 50.0, 50.0), (1, 50.3, 49.8)])
         assert decisions[0].occurred  # 2 trusted beat 3 distrusted
 
     def test_majority_voter_backend(self):
-        engine, _ = make_engine(CROWD, voter=MajorityVoter())
-        reports = [
-            LocationReport(node_id=i, location=Point(50.0, 50.0))
-            for i in (0, 1, 2)
-        ]
-        decisions = engine.decide(reports)
+        kernel, _ = make_kernel(CROWD, voter=MajorityVoter())
+        decisions = decide(kernel, [(i, 50.0, 50.0) for i in (0, 1, 2)])
         assert decisions[0].occurred  # 3 vs 2 headcount
 
 
@@ -211,18 +199,6 @@ class TestValidation:
         deployment = Deployment(region=Region.square(10.0))
         voter = MajorityVoter()
         with pytest.raises(ValueError):
-            LocationDecisionEngine(deployment, 0.0, 5.0, voter)
+            DecisionKernel(deployment, 0.0, 5.0, voter)
         with pytest.raises(ValueError):
-            LocationDecisionEngine(deployment, 20.0, -1.0, voter)
-
-    def test_min_cluster_fraction_filters_tiny_clusters(self):
-        engine, _ = make_engine(CROWD)
-        engine.min_cluster_fraction = 0.5
-        reports = [
-            LocationReport(node_id=0, location=Point(50.0, 50.0)),
-            LocationReport(node_id=1, location=Point(50.2, 50.1)),
-            LocationReport(node_id=2, location=Point(50.1, 49.9)),
-            LocationReport(node_id=3, location=Point(90.0, 90.0)),
-        ]
-        decisions = engine.decide(reports)
-        assert len(decisions) == 1  # the singleton cluster was suppressed
+            DecisionKernel(deployment, 20.0, -1.0, voter)

@@ -10,7 +10,8 @@ The load-bearing guarantees:
   equals its diagnosis time;
 * span collection (``spans=True``) is equally read-only: the
   ``run_fingerprint`` of a span-collecting run equals the plain run's
-  under both decision backends, and the exported span artifacts
+  (with the decision kernel or its object-pipeline oracle), and the
+  exported span artifacts
   reconstruct every verdict's causal chain.
 """
 
@@ -19,10 +20,11 @@ import json
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
-from repro.core.decision_kernel import DECISION_ENV
 from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
 from repro.obs.export import read_jsonl, validate_artifacts
 from repro.obs.provenance import ProvenanceIndex
+
+from tests.oracles import decision as oracle
 
 DIAGNOSIS_THRESHOLD = 0.5
 
@@ -185,14 +187,16 @@ def make_location_run(spans, seed=77, observe=False):
 
 
 class TestSpanBitIdentity:
-    """Acceptance: spans-enabled runs are bit-identical to plain runs
-    under both decision backends."""
+    """Acceptance: spans-enabled runs are bit-identical to plain runs,
+    with the decision kernel and with the object-pipeline oracle
+    swapped in for it."""
 
     @pytest.mark.parametrize("decision_backend", ["array", "object"])
     def test_location_fingerprint_unchanged(
         self, monkeypatch, decision_backend
     ):
-        monkeypatch.setenv(DECISION_ENV, decision_backend)
+        if decision_backend == "object":
+            oracle.install(monkeypatch)
         plain = make_location_run(spans=False)
         plain.run(8)
         spanned = make_location_run(spans=True)

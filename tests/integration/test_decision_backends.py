@@ -1,22 +1,22 @@
-"""Full-replay differential between the two CH decision backends.
+"""Full-run differential: the decision kernel vs the object oracle.
 
-``TIBFIT_DECISION=object`` runs the retained
-:class:`~repro.core.location.LocationDecisionEngine` oracle;
-``TIBFIT_DECISION=array`` (the default) runs the struct-of-arrays
-:class:`~repro.core.decision_kernel.DecisionKernel`.  Whole simulations
-replayed under both must be bit-identical -- same
-:func:`~repro.chaos.invariants.run_fingerprint`, trust snapshots, trace
-volume, and channel counters -- and the golden experiment builders must
-produce byte-equal documents under either decision backend.
+The cluster head decides with the struct-of-arrays
+:class:`~repro.core.decision_kernel.DecisionKernel`.
+:func:`tests.oracles.decision.install` swaps the original object
+pipeline in for it.  Whole simulations run both ways must be
+bit-identical -- same :func:`~repro.chaos.invariants.run_fingerprint`,
+trust snapshots, trace volume, and channel counters -- and the golden
+experiment builders must produce byte-equal documents with the oracle
+deciding.
 """
 
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
-from repro.core.decision_kernel import DECISION_ENV
 from repro.experiments.harness import SimulationRun
 
 from tests.golden.builders import BUILDERS
+from tests.oracles import decision as oracle
 
 
 def location_run(**overrides):
@@ -33,15 +33,17 @@ def location_run(**overrides):
     return SimulationRun(**kwargs)
 
 
-def replay(monkeypatch, decision_backend, rounds=8):
-    monkeypatch.setenv(DECISION_ENV, decision_backend)
-    return location_run().run(rounds)
+def replay(decision_backend, rounds=8):
+    with pytest.MonkeyPatch.context() as mp:
+        if decision_backend == "object":
+            oracle.install(mp)
+        return location_run().run(rounds)
 
 
 class TestBackendFingerprints:
-    def test_array_matches_object_full_replay(self, monkeypatch):
-        obj = replay(monkeypatch, "object")
-        arr = replay(monkeypatch, "array")
+    def test_array_matches_object_full_replay(self):
+        obj = replay("object")
+        arr = replay("array")
 
         assert run_fingerprint(arr) == run_fingerprint(obj)
         assert arr.trust_snapshot() == obj.trust_snapshot()
@@ -62,15 +64,14 @@ class TestBackendFingerprints:
 
 class TestGoldenBuildersBackendAgnostic:
     """Exps 1-4 scaled-down golden points: the committed fixtures are
-    generated under the array default, so equal documents under
-    ``object`` prove the backends agree on every serialised float."""
+    generated by the kernel, so equal documents with the oracle
+    deciding prove the two agree on every serialised float."""
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_object_backend_reproduces_golden_doc(
         self, monkeypatch, name
     ):
-        monkeypatch.setenv(DECISION_ENV, "array")
         array_doc = BUILDERS[name]()
-        monkeypatch.setenv(DECISION_ENV, "object")
+        oracle.install(monkeypatch)
         object_doc = BUILDERS[name]()
         assert object_doc == array_doc

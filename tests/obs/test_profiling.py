@@ -43,26 +43,28 @@ class TestPhaseTimers:
             uninstall_phase_timers()
 
     def test_uninstall_restores_originals(self):
-        from repro.core import clustering, location
+        from repro.core import clustering, decision_kernel
+        from repro.core.decision_kernel import DecisionKernel
         from repro.core.trust import TrustTable
         from repro.simkernel.simulator import Simulator
 
-        before = (
-            Simulator.run,
-            TrustTable.cti_vote,
-            clustering.cluster_reports,
-            location.cluster_reports,
-        )
+        def bindings():
+            return (
+                Simulator.run,
+                TrustTable.cti_vote,
+                DecisionKernel.decide_rows,
+                clustering.cluster_reports_xy,
+                clustering.cluster_reports_flat,
+                decision_kernel.cluster_reports_xy,
+                decision_kernel.cluster_reports_flat,
+            )
+
+        before = bindings()
         install_phase_timers()
-        assert Simulator.run is not before[0]
+        during = bindings()
+        assert all(a is not b for a, b in zip(before, during))
         uninstall_phase_timers()
-        after = (
-            Simulator.run,
-            TrustTable.cti_vote,
-            clustering.cluster_reports,
-            location.cluster_reports,
-        )
-        assert before == after
+        assert bindings() == before
 
     def test_install_is_idempotent(self):
         from repro.simkernel.simulator import Simulator
@@ -88,19 +90,10 @@ class TestPhaseTimers:
         finally:
             uninstall_phase_timers()
 
-    @pytest.mark.parametrize("backend", ["array", "object"])
-    def test_decision_phase_covers_both_backends(self, monkeypatch, backend):
-        """The decision phase is non-trivial whichever backend runs.
-
-        The array kernel's small windows bypass ``cluster_reports_xy``
-        (flat scalar clustering), so the ``decision`` rebind on
-        ``DecisionKernel.decide_rows`` / ``LocationDecisionEngine.decide``
-        is what keeps the array backend from profiling as all-``des``.
-        """
-        from repro.core.decision_kernel import DECISION_ENV
+    @staticmethod
+    def profiled_location_point():
         from repro.experiments.harness import SimulationRun
 
-        monkeypatch.setenv(DECISION_ENV, backend)
         install_phase_timers()
         try:
             reset_phases()
@@ -118,10 +111,35 @@ class TestPhaseTimers:
         finally:
             uninstall_phase_timers()
         assert run.ch.decisions, "run produced no decisions to time"
+        return snap
+
+    def test_decision_phase_covers_the_kernel(self):
+        """The ``decision`` rebind on ``DecisionKernel.decide_rows``
+        times the whole window pipeline, inside the DES loop."""
+        snap = self.profiled_location_point()
         assert snap["des"] > 0.0
         assert snap["decision"] > 0.0
         # The window pipeline runs inside DES callbacks.
         assert snap["decision"] <= snap["des"]
+
+    def test_location_point_reports_clustering_time(self):
+        """Windows under 32 rows cluster through ``cluster_reports_flat``
+        and never reach ``cluster_reports_xy``; both must be timed or a
+        location point reads zero clustering."""
+        from repro.experiments.config import Experiment2Config
+        from repro.experiments.experiment2 import run_point
+
+        snap = self.profiled_location_point()
+        assert 0.0 < snap["clustering"] <= snap["decision"]
+
+        install_phase_timers()
+        try:
+            reset_phases()
+            run_point(Experiment2Config(), 30.0, 0)
+            snap = phase_snapshot()
+        finally:
+            uninstall_phase_timers()
+        assert 0.0 < snap["clustering"] <= snap["decision"]
 
 
 class TestSweepProfile:

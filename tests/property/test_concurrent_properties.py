@@ -1,11 +1,15 @@
-"""Property-based tests for the concurrent-event circle tracker."""
+"""Property-based tests for the concurrent-event circle tracker.
+
+Reports are scheduled as :meth:`CircleTracker.on_report_row` calls at
+their arrival times, the path the cluster head takes; each closed group
+is captured as its buffer rows ``(node_id, x, y, time)``.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.concurrent import CircleTracker
-from repro.core.location import LocationReport
-from repro.network.geometry import Point
+from repro.core.decision_kernel import ReportBuffer
 from repro.simkernel.simulator import Simulator
 
 coords = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -19,15 +23,28 @@ def drive_tracker(specs, r_error=5.0, t_out=1.0):
     """Feed timed reports through a tracker; return closed groups."""
     sim = Simulator(seed=0)
     groups = []
+    buffer = ReportBuffer(capacity=4)
+
+    def on_group_rows(rows):
+        groups.append([
+            (
+                int(buffer.ids[r]),
+                float(buffer.xs[r]),
+                float(buffer.ys[r]),
+                float(buffer.times[r]),
+            )
+            for r in rows
+        ])
+
     tracker = CircleTracker(
-        sim, r_error=r_error, t_out=t_out, on_group=groups.append
+        sim,
+        r_error=r_error,
+        t_out=t_out,
+        buffer=buffer,
+        on_group_rows=on_group_rows,
     )
     for node_id, (x, y, t) in enumerate(specs):
-        sim.at(
-            t,
-            tracker.on_report,
-            LocationReport(node_id=node_id, location=Point(x, y), time=t),
-        )
+        sim.at(t, tracker.on_report_row, node_id, x, y)
     sim.run()
     tracker.flush()
     return groups
@@ -37,8 +54,13 @@ def drive_tracker(specs, r_error=5.0, t_out=1.0):
 @settings(max_examples=60, deadline=None)
 def test_every_report_lands_in_exactly_one_group(specs):
     groups = drive_tracker(specs)
-    seen = sorted(r.node_id for group in groups for r in group)
+    seen = sorted(row[0] for group in groups for row in group)
     assert seen == list(range(len(specs)))
+    # Each row carries the report it was made from, stamped with its
+    # arrival time.
+    for group in groups:
+        for node_id, x, y, t in group:
+            assert (x, y, t) == specs[node_id]
 
 
 @given(specs=report_specs)
@@ -46,8 +68,8 @@ def test_every_report_lands_in_exactly_one_group(specs):
 def test_groups_are_nonempty_and_time_sorted(specs):
     for group in drive_tracker(specs):
         assert group
-        times = [r.time for r in group]
-        assert times == sorted(times)
+        keys = [(t, node_id) for node_id, _x, _y, t in group]
+        assert keys == sorted(keys)
 
 
 @given(specs=report_specs,
@@ -76,6 +98,4 @@ def test_far_simultaneous_reports_stay_apart(gap):
 def test_tracker_is_deterministic(specs):
     a = drive_tracker(specs)
     b = drive_tracker(specs)
-    assert [[r.node_id for r in g] for g in a] == [
-        [r.node_id for r in g] for g in b
-    ]
+    assert a == b

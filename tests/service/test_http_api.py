@@ -1,10 +1,12 @@
 """Smoke tests for the HTTP/JSON front end (in-process server)."""
 
 import contextlib
+import http.client
 import json
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -338,3 +340,57 @@ class TestNonFiniteInput:
         # The window stays open for a well-formed close.
         with manager.locked("t") as session:
             assert session.pending_reports() == 1
+
+
+def post_with_length(base, path, length):
+    """POST with a verbatim ``Content-Length`` header and no body."""
+    parts = urlsplit(base)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return (
+            response.status,
+            response.getheader("Connection"),
+            json.loads(response.read()),
+        )
+    finally:
+        conn.close()
+
+
+class TestMalformedContentLength:
+    """A Content-Length the server cannot honour is a 400 naming it.
+
+    The body's extent is then unknown, so the server closes that
+    connection; it keeps answering new ones.
+    """
+
+    def check(self, server, length):
+        base, manager = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        status, connection, doc = post_with_length(
+            base, "/v1/sessions/t/close", length
+        )
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+        assert repr(length) in doc["error"]
+        assert connection == "close"
+        # Nothing was decided, and the server still answers.
+        with manager.locked("t") as session:
+            assert session.pending_reports() == 1
+        status, doc = call(
+            base, "POST", "/v1/sessions/t/close", {"time": 1.0}
+        )
+        assert status == 200
+        assert len(doc["decisions"]) == 1
+
+    def test_non_numeric(self, server):
+        self.check(server, "abc")
+
+    def test_negative(self, server):
+        self.check(server, "-1")
+
+    def test_overflowing(self, server):
+        self.check(server, "99999999999999999999")

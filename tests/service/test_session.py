@@ -15,6 +15,8 @@ from repro.network.topology import grid_deployment
 from repro.service.ids import IdAllocator
 from repro.service.session import SessionConfig, TrustSession
 
+from tests.oracles import decision as oracle
+
 
 def make_deployment(n=9, side=30.0):
     return grid_deployment(n, Region.square(side))
@@ -129,15 +131,18 @@ class TestLocationSession:
         assert one.tis() == dup.tis()
 
     def test_backends_agree(self):
+        """The kernel and the object-pipeline oracle swapped in for it
+        close the same window identically."""
         results = {}
         for backend in ("object", "array"):
-            session = make_session(
-                mode="location", decision_backend=backend
-            )
-            for node, t in ((0, 0.1), (1, 0.2), (4, 0.3)):
-                session.ingest(node, x=12.0, y=12.0, time=t)
-            session.ingest(8, x=28.0, y=28.0, time=0.4)
-            session.close_window(now=1.0)
+            with pytest.MonkeyPatch.context() as mp:
+                if backend == "object":
+                    oracle.install(mp)
+                session = make_session(mode="location")
+                for node, t in ((0, 0.1), (1, 0.2), (4, 0.3)):
+                    session.ingest(node, x=12.0, y=12.0, time=t)
+                session.ingest(8, x=28.0, y=28.0, time=0.4)
+                session.close_window(now=1.0)
             results[backend] = (
                 [
                     (r.time, r.occurred, r.location, r.supporters,

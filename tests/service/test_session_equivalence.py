@@ -6,8 +6,10 @@ those records through :meth:`~repro.service.session.TrustSession.
 replay_window` on a *bare* session -- no simulator, no radio, no clock
 -- must land in the identical final state: same TIs, same verdict
 timeline, same diagnosed set.  That is the proof the cluster head and
-the service expose one decision engine, and it must hold across both
-``TIBFIT_DECISION`` backends.
+the service expose one decision engine.  The ``object`` legs swap the
+object-pipeline oracle (``tests/oracles/decision.py``) in for the
+decision kernel on one side of the replay, so a journal recorded by
+either pipeline must replay identically on the other.
 
 Decision *ids* are compared only within the replay (dense from 1): the
 DES draws from the process-shared allocator, the bare session from its
@@ -19,9 +21,10 @@ import json
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
-from repro.core.decision_kernel import DECISION_ENV
 from repro.experiments.harness import SimulationRun
 from repro.service.session import SessionConfig, TrustSession
+
+from tests.oracles import decision as oracle
 
 DECISIONS = ["object", "array"]
 
@@ -43,7 +46,7 @@ def des_run(mode, journal, **overrides):
     return SimulationRun(**kwargs)
 
 
-def session_for(run, decision_backend=None):
+def session_for(run):
     """A bare session configured identically to ``run``'s cluster head."""
     config = run.ch.config
     return TrustSession(
@@ -56,7 +59,6 @@ def session_for(run, decision_backend=None):
             use_trust=config.use_trust,
             diagnosis_threshold=config.diagnosis_threshold,
             tie_breaks_to_occurred=config.tie_breaks_to_occurred,
-            decision_backend=decision_backend,
             owner_id=run.ch.node_id,
         ),
         members=run.ch.members,
@@ -70,10 +72,10 @@ def strip_ids(decisions):
     ]
 
 
-def replay(run, decision_backend=None):
+def replay(run):
     """JSON round-trip the journal, then replay it on a bare session."""
     records = json.loads(json.dumps(run.session_journal()))
-    session = session_for(run, decision_backend=decision_backend)
+    session = session_for(run)
     for record in records:
         session.replay_window(record)
     return session
@@ -81,9 +83,13 @@ def replay(run, decision_backend=None):
 
 class TestDifferentialReplay:
     @pytest.mark.parametrize("decision", DECISIONS)
-    def test_location_replay_matches_live_run(self, monkeypatch, decision):
-        monkeypatch.setenv(DECISION_ENV, decision)
-        run = des_run("location", journal=True).run(8)
+    def test_location_replay_matches_live_run(self, decision):
+        """The live run decides with ``decision``; the bare session
+        replays with the kernel."""
+        with pytest.MonkeyPatch.context() as mp:
+            if decision == "object":
+                oracle.install(mp)
+            run = des_run("location", journal=True).run(8)
         session = replay(run)
 
         assert session.tis() == run.trust_snapshot()
@@ -103,11 +109,11 @@ class TestDifferentialReplay:
         assert session.diagnosed() == run.ch.diagnoser.diagnosed
 
     def test_cross_backend_replay(self, monkeypatch):
-        """An array-recorded journal replays identically on the oracle."""
-        monkeypatch.setenv(DECISION_ENV, "array")
+        """A kernel-recorded journal replays identically on the oracle."""
         run = des_run("location", journal=True).run(8)
-        array_session = replay(run, decision_backend="array")
-        object_session = replay(run, decision_backend="object")
+        array_session = replay(run)
+        oracle.install(monkeypatch)
+        object_session = replay(run)
 
         assert object_session.tis() == array_session.tis()
         assert strip_ids(object_session.decisions) == strip_ids(
