@@ -12,6 +12,7 @@ scores the CH's decision log against ground truth.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -600,24 +601,18 @@ class SimulationRun:
         Composing first and transmitting second is bit-identical to the
         per-node compose-and-send interleaving: behaviour draws live on
         per-node streams, channel draws on the ``"channel"`` stream, and
-        each stream is still consumed in node order.  All reports of one
-        round target the same CH, so they ride ``unicast_batch``; if
-        cluster affiliations ever diverge mid-round, fall back to the
-        per-message oracle path.
+        each stream is still consumed in node order.  Consecutive
+        reports bound for the same CH ride one ``unicast_batch`` -- all
+        of a round's, since every node follows the one active CH.
         """
-        if not pending:
-            return
         assert self.channel is not None
-        ch_id = pending[0][0].ch_id
-        if all(node.ch_id == ch_id for node, _ in pending):
+        for ch_id, group in groupby(pending, key=lambda item: item[0].ch_id):
+            batch = list(group)
             self.channel.unicast_batch(
-                [node.node_id for node, _ in pending],
+                [node.node_id for node, _ in batch],
                 ch_id,
-                [message for _, message in pending],
+                [message for _, message in batch],
             )
-        else:
-            for node, message in pending:
-                node.send(node.ch_id, message)
 
     def _apply_compromises(self, round_index: int) -> None:
         for order in self._compromises:

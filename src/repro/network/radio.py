@@ -125,11 +125,6 @@ _CHAOS = DeliveryOutcome(False, "chaos")
 _DELIVER_LABELS: Dict[type, str] = {}
 _FUSED_LABEL = "deliver:batch"
 
-#: Below this many messages the vector path's numpy round-trip costs
-#: more than it saves; both paths are bit-identical, so the crossover
-#: is purely a wall-time knob.
-_VECTOR_MIN = 4
-
 
 _ALIVE = attrgetter("alive")
 
@@ -138,6 +133,7 @@ class _Fanout(NamedTuple):
     """A sender's broadcast receivers, memoised until registration changes."""
 
     nodes: List[NetworkNode]  # every other endpoint, ascending id
+    ids: Tuple[int, ...]  # their node ids
     hears_all: Tuple[int, ...]  # indices of receivers handed every message
     index: Dict[int, int]  # receiver id -> index in ``nodes``
 
@@ -277,7 +273,8 @@ class RadioChannel:
         if tap in taps:
             taps.remove(tap)
             if not taps:
-                # An emptied entry would keep broadcasts off the fused path.
+                # An emptied entry would keep broadcast deliveries from
+                # skipping an announcement's non-listeners.
                 del self._taps[watched_id]
 
     # ------------------------------------------------------------------
@@ -292,86 +289,7 @@ class RadioChannel:
         (loss/range checks happen immediately; the callback fires after
         the propagation delay).
         """
-        self.sent += 1
-        receiver = self._nodes.get(destination)
-        verdict: Optional[Intercept] = None
-        if receiver is None:
-            outcome = _UNKNOWN_DESTINATION
-        elif not receiver.alive:
-            outcome = _DEAD_RECEIVER
-        elif not self._in_range(sender, receiver):
-            outcome = _OUT_OF_RANGE
-        elif self._rng.random() < self._loss_for(sender.node_id, destination):
-            outcome = _DROPPED
-        else:
-            interceptor = self._interceptor
-            if interceptor is not None:
-                verdict = interceptor(
-                    sender.node_id, destination, self._sim.now
-                )
-            if verdict is not None and verdict.drop:
-                outcome = _CHAOS
-            else:
-                outcome = _OK
-
-        metrics = self._sim.metrics
-        if metrics.enabled:
-            if self._counter_src is not metrics:
-                self._rebind_counters(metrics)
-            self._c_sent.inc()
-            if outcome.delivered:
-                self._c_delivered.inc()
-            else:
-                self._c_dropped.inc()
-                self._drop_counter(outcome.reason).inc()
-        spans = self._spans
-        if outcome.delivered:
-            self.delivered += 1
-            delay = self._delay()
-            label = _deliver_label(type(message))
-            if spans.enabled:
-                # The delivery events scheduled below inherit the
-                # transmit span as their causal context (the scheduler
-                # stamps spans.current onto each event's ctx slot).
-                saved = spans.current
-                spans.current = spans.point(
-                    "radio.transmit",
-                    parent=spans.bound(message.message_id) or saved,
-                    sender=sender.node_id,
-                    destination=destination,
-                    message=type(message).__name__,
-                    message_id=message.message_id,
-                )
-            if verdict is None:
-                self._sim.after(delay, self._deliver, receiver, message,
-                                label=label)
-            else:
-                for extra in verdict.extra_delays:
-                    self._sim.after(delay + extra, self._deliver, receiver,
-                                    message, label=label)
-            if spans.enabled:
-                spans.current = saved
-        else:
-            self.dropped += 1
-            if spans.enabled:
-                spans.point(
-                    "radio.drop",
-                    parent=spans.bound(message.message_id) or spans.current,
-                    sender=sender.node_id,
-                    destination=destination,
-                    reason=outcome.reason,
-                    message=type(message).__name__,
-                    message_id=message.message_id,
-                )
-            self._sim.trace.emit(
-                self._sim.now,
-                "radio.drop",
-                sender=sender.node_id,
-                destination=destination,
-                reason=outcome.reason,
-                message=type(message).__name__,
-            )
-        return outcome
+        return self._transmit((sender,), (destination,), (message,))[0]
 
     def unicast_batch(
         self,
@@ -381,16 +299,11 @@ class RadioChannel:
     ) -> List[DeliveryOutcome]:
         """Transmit ``messages[i]`` from ``sender_ids[i]`` to ``destination``.
 
-        Bit-identical to calling :meth:`unicast` once per message in
-        order -- same RNG stream consumption, same drop reasons, same
-        interceptor consultation (see ``tests/network/test_radio_batch.py``)
-        -- but the Bernoulli loss trials are drawn as one numpy vector
-        and the surviving deliveries are scheduled as a single fused
-        kernel event, so an N-report round costs one heap push instead
-        of N.  Every sender must be a registered endpoint (senders
-        transmit from their registered position).  The receiver's
-        registration and liveness are checked once for the whole batch,
-        which is valid because no event can run between its entries.
+        The same as :meth:`unicast` once per message in order, as one
+        batch: an N-report round draws its loss trials as one vector and
+        delivers its plain survivors in one event.  Every sender must be
+        a registered endpoint (senders transmit from their registered
+        position).
         """
         if len(sender_ids) != len(messages):
             raise ValueError(
@@ -399,216 +312,249 @@ class RadioChannel:
             )
         nodes = self._nodes
         try:
-            entries = [
-                (nodes[sender_id], destination, message)
-                for sender_id, message in zip(sender_ids, messages)
-            ]
+            senders = [nodes[sender_id] for sender_id in sender_ids]
         except KeyError as exc:
             raise ValueError(f"unknown sender id {exc.args[0]}") from None
-        config = self.config
-        if (
-            config.jitter > 0
-            or len(entries) < _VECTOR_MIN
-            or self._spans.enabled
-        ):
-            # With jitter on, the oracle interleaves a loss draw and a
-            # jitter draw per message on the "channel" stream, an order
-            # one vector draw cannot reproduce; span collection gives
-            # each message its own radio.transmit span as the causal
-            # context of its own delivery event.  Either way the
-            # per-message loop runs -- the oracle itself.
-            return [
-                self.unicast(sender, destination, message)
-                for sender, destination, message in entries
-            ]
-        n = len(entries)
-        link_loss = self._link_loss
-        range_limit = config.range_limit
-        outcomes: List[Optional[DeliveryOutcome]] = [None] * n
-        pend_idx: List[int] = []
-        pend_loss: List[float] = []
-        receiver = nodes.get(destination)
-        if receiver is None:
-            outcomes = [_UNKNOWN_DESTINATION] * n
-        elif not receiver.alive:
-            outcomes = [_DEAD_RECEIVER] * n
-        elif range_limit is None and not link_loss:
-            # The sweep shape: one live CH, unlimited range, uniform
-            # loss -- every entry pends with the default probability.
-            pend_idx = list(range(n))
-            pend_loss = [config.loss_probability] * n
-        else:
-            for i, (sender, _destination, _message) in enumerate(entries):
-                if not self._in_range(sender, receiver):
-                    outcomes[i] = _OUT_OF_RANGE
-                    continue
-                pend_idx.append(i)
-                pend_loss.append(self._loss_for(sender.node_id, destination))
-
-        # One vectorised draw consumes the "channel" stream exactly as
-        # len(pend_idx) sequential scalar draws would (PCG64 guarantees
-        # value- and state-identity), so the oracle's stream position is
-        # preserved.  Interceptors are then consulted in message order,
-        # preserving the "chaos" stream's order too.
-        verdicts: Dict[int, Intercept] = {}
-        interceptor = self._interceptor
-        if (
-            pend_idx
-            and interceptor is None
-            and config.loss_probability == 0.0
-            and not link_loss
-        ):
-            # Lossless, un-intercepted shape: the draw must still
-            # happen (stream identity) but no draw in [0, 1) can fall
-            # below a 0.0 threshold, so the per-draw scan is skipped.
-            self._rng.random(len(pend_idx))
-            for i in pend_idx:
-                outcomes[i] = _OK
-        elif pend_idx:
-            draws = self._rng.random(len(pend_idx)).tolist()
-            now = self._sim.now
-            for k, i in enumerate(pend_idx):
-                if draws[k] < pend_loss[k]:
-                    outcomes[i] = _DROPPED
-                    continue
-                if interceptor is not None:
-                    verdict = interceptor(
-                        entries[i][0].node_id, destination, now
-                    )
-                    if verdict is not None:
-                        if verdict.drop:
-                            outcomes[i] = _CHAOS
-                            continue
-                        verdicts[i] = verdict
-                outcomes[i] = _OK
-
-        delay = config.propagation_delay
-        drops: Dict[str, int] = {}
-        fused: List[Tuple[NetworkNode, Message]] = []
-        trace = self._sim.trace
-        trace_on = trace.enabled or trace.count_when_disabled
-        for i, (sender, _destination, message) in enumerate(entries):
-            outcome = outcomes[i]
-            if not outcome.delivered:
-                reason = outcome.reason
-                drops[reason] = drops.get(reason, 0) + 1
-                if trace_on:
-                    trace.emit(
-                        self._sim.now,
-                        "radio.drop",
-                        sender=sender.node_id,
-                        destination=destination,
-                        reason=reason,
-                        message=type(message).__name__,
-                    )
-                continue
-            verdict = verdicts.get(i)
-            if verdict is None:
-                fused.append((receiver, message))
-                continue
-            # Flush the fused buffer first so the intercepted copies
-            # keep their same-instant sequence ordering relative to the
-            # plain deliveries around them.
-            if fused:
-                self._schedule_fused(delay, fused)
-                fused = []
-            label = _deliver_label(type(message))
-            for extra in verdict.extra_delays:
-                self._sim.after(delay + extra, self._deliver, receiver,
-                                message, label=label)
-        if fused:
-            self._schedule_fused(delay, fused)
-        self._settle(n, n - sum(drops.values()), drops)
-        return outcomes
+        return self._transmit(senders, [destination] * len(senders), messages)
 
     def broadcast(self, sender: NetworkNode, message: Message) -> int:
         """Transmit to every other live endpoint; returns deliveries started.
 
         Each receiver suffers an independent loss trial, matching a
-        contention-free broadcast over independent fading links.  The
-        trials are one vector draw on the ``"channel"`` stream -- one
-        draw per live receiver in ascending id order, none for dead
-        ones, exactly as the per-message oracle consumes it -- and the
-        surviving fan-out is one delivery event.  A CH decision
-        announcement is handed only to the receivers that react to it
-        (see :attr:`NetworkNode.hears_only_own_announcements`).
-        Interceptors, spans, taps, jitter, range limits and a recording
-        or counting trace all need per-receiver work, so they take the
-        per-message oracle instead.
+        contention-free broadcast over independent fading links, in
+        ascending receiver id order.  The surviving fan-out is one
+        delivery event, and a CH decision announcement is handed only to
+        the receivers that react to it (see
+        :attr:`NetworkNode.hears_only_own_announcements`).
         """
-        sender_id = sender.node_id
-        fan = self._fanout(sender_id)
-        nodes = fan.nodes
-        config = self.config
-        trace = self._sim.trace
-        if (
-            self._interceptor is not None
-            or self._spans.enabled
-            or self._taps
-            or config.jitter > 0
-            or config.range_limit is not None
-            or trace.enabled
-            or trace.count_when_disabled
-        ):
-            return sum(
-                1 for node in nodes
-                if self.unicast(sender, node.node_id, message).delivered
-            )
-        n = len(nodes)
-        alive = list(map(_ALIVE, nodes))
-        n_live = alive.count(True)
-        loss = config.loss_probability
-        if self._link_loss:
-            loss = np.array([
-                self._loss_for(sender_id, node.node_id) for node in nodes
-            ])
-        if n_live == n:
-            blocked = self._rng.random(n) < loss
-            n_lost = int(np.count_nonzero(blocked))
-        else:
-            live = np.array(alive, dtype=bool)
-            lost = self._rng.random(n_live) < (
-                loss if np.isscalar(loss) else loss[live]
-            )
-            n_lost = int(np.count_nonzero(lost))
-            blocked = ~live
-            blocked[live] = lost
-        n_ok = n_live - n_lost
-        if n_ok:
-            self._sim.after(
-                config.propagation_delay, self._deliver_broadcast, message,
-                fan, blocked.tolist() if n_ok < n else None,
-                label=_FUSED_LABEL,
-            )
-        self._settle(
-            n, n_ok, {"dead-receiver": n - n_live, "dropped": n_lost}
-        )
-        return n_ok
+        fan = self._fanout(sender.node_id)
+        n = len(fan.ids)
+        before = self.delivered
+        self._transmit([sender] * n, fan.ids, [message] * n, fan)
+        return self.delivered - before
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _settle(self, n: int, n_ok: int, drops: Dict[str, int]) -> None:
-        """Count ``n`` sends: ``n_ok`` delivered, ``drops`` by reason."""
+    def _transmit(
+        self,
+        senders: Sequence[NetworkNode],
+        destinations: Sequence[int],
+        messages: Sequence[Message],
+        fan: Optional[_Fanout] = None,
+    ) -> List[DeliveryOutcome]:
+        """Send ``messages[i]`` from ``senders[i]`` to ``destinations[i]``.
+
+        The channel's one transmit routine.  Over a batch it is
+        bit-identical to the per-message oracle in
+        ``tests/oracles/radio.py`` run on each entry in order: the same
+        outcomes, ``"channel"`` and ``"chaos"`` stream consumption,
+        interceptor consultations, spans, trace records, counters and
+        delivery order.  No event can run between the entries, so
+        registration, liveness and range are checked up front, and the
+        Bernoulli trials of the entries that pass are one vector draw
+        (PCG64 makes it value- and state-identical to as many scalar
+        draws).  With jitter on, the oracle interleaves each delivered
+        entry's jitter draw with the loss draws on the same stream, so
+        the draws are scalar instead.
+
+        Plain survivors ride one fused delivery event.  An entry with
+        an interceptor verdict or a jittered delay gets its own events,
+        and so does every entry while spans are collected, so that its
+        ``radio.transmit`` span is its delivery's causal context.
+        ``fan`` marks a broadcast: its nodes are the receivers, and the
+        fused event hands an announcement only to its listeners.
+        """
+        n = len(destinations)
+        sim = self._sim
+        config = self.config
+        receivers = (
+            fan.nodes if fan is not None
+            else list(map(self._nodes.get, destinations))
+        )
+        outcomes = [_OK] * n
+        drops: Dict[str, int] = {}
+
+        # Registration, liveness and range; ``pend`` holds the entries
+        # that reach the loss draw.
+        range_limit = config.range_limit
+        if (
+            range_limit is None
+            and (fan is not None or None not in receivers)
+            and all(map(_ALIVE, receivers))
+        ):
+            pend: Sequence[int] = range(n)
+        else:
+            pend = []
+            for i, receiver in enumerate(receivers):
+                if receiver is None:
+                    outcome = _UNKNOWN_DESTINATION
+                elif not receiver.alive:
+                    outcome = _DEAD_RECEIVER
+                elif range_limit is not None and (
+                    senders[i].position.distance_to(receiver.position)
+                    > range_limit
+                ):
+                    outcome = _OUT_OF_RANGE
+                else:
+                    pend.append(i)
+                    continue
+                outcomes[i] = outcome
+                drops[outcome.reason] = drops.get(outcome.reason, 0) + 1
+
+        loss = config.loss_probability
+        link_loss = self._link_loss
+        if link_loss:
+            losses = [
+                link_loss.get((senders[i].node_id, destinations[i]), loss)
+                for i in pend
+            ]
+        jitter = config.jitter
+        rng = self._rng
+        draws = rng.random(len(pend)) if pend and not jitter else None
+        delay = config.propagation_delay
+        interceptor = self._interceptor
+        spans = self._spans
+        spans_on = spans.enabled
+        trace = sim.trace
+        trace_on = trace.enabled or trace.count_when_disabled
+
+        if interceptor is None and not (spans_on or trace_on or jitter):
+            # Nothing to do per entry: the trials settle as one vector
+            # and every survivor rides the fused event.
+            if draws is not None and (link_loss or loss):
+                lost = (
+                    draws < (losses if link_loss else loss)
+                ).nonzero()[0].tolist()
+                for k in lost:
+                    outcomes[pend[k]] = _DROPPED
+                if lost:
+                    drops["dropped"] = len(lost)
+            n_ok = n - sum(drops.values())
+            if fan is not None:
+                if n_ok:
+                    sim.after(
+                        delay, self._deliver_broadcast, messages[0], fan,
+                        outcomes if n_ok < n else None, label=_FUSED_LABEL,
+                    )
+            elif n_ok == n:
+                self._schedule_fused(delay, list(zip(receivers, messages)))
+            else:
+                self._schedule_fused(delay, [
+                    (receivers[i], messages[i])
+                    for i in range(n) if outcomes[i] is _OK
+                ])
+        else:
+            if draws is not None:
+                draws = draws.tolist()
+            now = sim.now
+            fused: List[Tuple[NetworkNode, Message]] = []
+            k = 0
+            for i in range(n):
+                outcome = outcomes[i]
+                sender_id = senders[i].node_id
+                destination = destinations[i]
+                message = messages[i]
+                verdict: Optional[Intercept] = None
+                if outcome is _OK:
+                    # The entry reaches the loss draw, then the
+                    # interceptor.
+                    u = rng.random() if draws is None else draws[k]
+                    if u < (losses[k] if link_loss else loss):
+                        outcome = _DROPPED
+                    elif interceptor is not None:
+                        verdict = interceptor(sender_id, destination, now)
+                        if verdict is not None and verdict.drop:
+                            outcome = _CHAOS
+                    k += 1
+                    if outcome is not _OK:
+                        outcomes[i] = outcome
+                        drops[outcome.reason] = (
+                            drops.get(outcome.reason, 0) + 1
+                        )
+                if outcome is not _OK:
+                    if spans_on:
+                        spans.point(
+                            "radio.drop",
+                            parent=(spans.bound(message.message_id)
+                                    or spans.current),
+                            sender=sender_id,
+                            destination=destination,
+                            reason=outcome.reason,
+                            message=type(message).__name__,
+                            message_id=message.message_id,
+                        )
+                    if trace_on:
+                        trace.emit(
+                            now,
+                            "radio.drop",
+                            sender=sender_id,
+                            destination=destination,
+                            reason=outcome.reason,
+                            message=type(message).__name__,
+                        )
+                    continue
+                receiver = receivers[i]
+                if verdict is None and not jitter and not spans_on:
+                    fused.append((receiver, message))
+                    continue
+                # Flush the fused buffer first so this entry's events
+                # keep their same-instant order after the plain
+                # deliveries before it.
+                if fused:
+                    self._schedule_fused(delay, fused)
+                    fused = []
+                when = delay
+                if jitter:
+                    when += rng.uniform(-jitter, jitter)
+                if spans_on:
+                    # The delivery events scheduled below inherit the
+                    # transmit span as their causal context (the
+                    # scheduler stamps spans.current onto each event).
+                    saved = spans.current
+                    spans.current = spans.point(
+                        "radio.transmit",
+                        parent=spans.bound(message.message_id) or saved,
+                        sender=sender_id,
+                        destination=destination,
+                        message=type(message).__name__,
+                        message_id=message.message_id,
+                    )
+                label = _deliver_label(type(message))
+                if verdict is None:
+                    sim.after(when, self._deliver, receiver, message,
+                              label=label)
+                else:
+                    for extra in verdict.extra_delays:
+                        sim.after(when + extra, self._deliver, receiver,
+                                  message, label=label)
+                if spans_on:
+                    spans.current = saved
+            self._schedule_fused(delay, fused)
+
+        n_dropped = sum(drops.values())
         self.sent += n
-        self.delivered += n_ok
-        self.dropped += n - n_ok
-        metrics = self._sim.metrics
+        self.delivered += n - n_dropped
+        self.dropped += n_dropped
+        metrics = sim.metrics
         if metrics.enabled:
             if self._counter_src is not metrics:
                 self._rebind_counters(metrics)
             self._c_sent.inc(n)
-            if n_ok:
-                self._c_delivered.inc(n_ok)
-            if n_ok < n:
-                self._c_dropped.inc(n - n_ok)
+            if n_dropped < n:
+                self._c_delivered.inc(n - n_dropped)
+            if n_dropped:
+                self._c_dropped.inc(n_dropped)
             for reason, count in drops.items():
-                if count:
-                    self._drop_counter(reason).inc(count)
+                self._drop_counter(reason).inc(count)
+        return outcomes
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
 
     def _schedule_fused(
         self, delay: float, deliveries: List[Tuple[NetworkNode, Message]]
     ) -> None:
+        if not deliveries:
+            return
         if len(deliveries) == 1:
             receiver, message = deliveries[0]
             self._sim.after(delay, self._deliver, receiver, message,
@@ -626,6 +572,7 @@ class RadioChannel:
             ]
             fan = self._fanouts[sender_id] = _Fanout(
                 nodes,
+                tuple(node.node_id for node in nodes),
                 tuple(
                     i for i, node in enumerate(nodes)
                     if not node.hears_only_own_announcements
@@ -638,9 +585,12 @@ class RadioChannel:
         self,
         message: Message,
         fan: _Fanout,
-        blocked: Optional[List[bool]],
+        outcomes: Optional[List[DeliveryOutcome]],
     ) -> None:
-        """Deliver one broadcast to its survivors (``blocked[i]``: lost)."""
+        """Deliver one broadcast to receiver ``i`` if ``outcomes[i]`` is ok.
+
+        ``outcomes`` is ``None`` when every receiver survived transmit.
+        """
         trace = self._sim.trace
         if (
             isinstance(message, ChDecisionAnnouncement)
@@ -653,8 +603,8 @@ class RadioChannel:
             # and tap copies are per receiver, so every survivor is
             # delivered while either is on.
             order = range(len(fan.nodes))
-        if blocked is not None:
-            order = [i for i in order if not blocked[i]]
+        if outcomes is not None:
+            order = [i for i in order if outcomes[i] is _OK]
         nodes = fan.nodes
         self._deliver_fused([(nodes[i], message) for i in order])
 
@@ -751,25 +701,6 @@ class RadioChannel:
             for tap in taps.get(receiver.node_id, ()):
                 if tap.alive and tap.node_id != message.sender:
                     tap.on_message(message)
-
-    def _loss_for(self, sender: int, receiver: int) -> float:
-        return self._link_loss.get(
-            (sender, receiver), self.config.loss_probability
-        )
-
-    def _in_range(self, sender: NetworkNode, receiver: NetworkNode) -> bool:
-        if self.config.range_limit is None:
-            return True
-        return (
-            sender.position.distance_to(receiver.position)
-            <= self.config.range_limit
-        )
-
-    def _delay(self) -> float:
-        delay = self.config.propagation_delay
-        if self.config.jitter > 0:
-            delay += self._rng.uniform(-self.config.jitter, self.config.jitter)
-        return max(delay, 0.0)
 
     def __repr__(self) -> str:
         return (

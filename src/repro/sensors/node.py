@@ -111,8 +111,10 @@ class SensorNode(NetworkNode):
         physics gate, behaviour consultation (including any draws on
         this node's private stream), and report encoding -- so a caller
         can collect one round's reports and hand them to
-        ``RadioChannel.unicast_batch`` in a single call.  Returns
-        ``None`` when the node stays silent.
+        ``RadioChannel.unicast_batch`` in a single call.  That is the
+        radio's one transmit routine, as :meth:`sense_event`'s ``send``
+        is, so either way of sending a round delivers the same outcome.
+        Returns ``None`` when the node stays silent.
         """
         if not self.alive:
             return None

@@ -215,7 +215,11 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad syntax (JSONDecodeError), bytes that are
+            # not UTF-8 (UnicodeDecodeError), or an integer literal past
+            # the interpreter's digit limit; RecursionError: nesting too
+            # deep for the decoder.
             raise _ApiError(400, f"invalid JSON body: {exc}") from exc
         if not isinstance(doc, dict):
             raise _ApiError(400, "request body must be a JSON object")
@@ -353,11 +357,7 @@ class TrustServiceHandler(BaseHTTPRequestHandler):
                 if "since" in query else 0
             )
             with self.manager.locked(key, create=False) as session:
-                decisions = [
-                    d
-                    for d in session.decision_log()
-                    if d["decision_id"] > since
-                ]
+                decisions = session.decision_log(since)
             self._send_json(200, {"decisions": decisions})
             return
         if (method, action) == ("GET", "state"):

@@ -424,9 +424,26 @@ class TrustSession:
             return ()
         return self.diagnoser.diagnosed
 
-    def decision_log(self) -> List[Dict[str, object]]:
-        """The decision history as JSON-serialisable records."""
-        return [_decision_to_dict(d) for d in self.decisions]
+    def decision_log(
+        self, since: Optional[int] = None
+    ) -> List[Dict[str, object]]:
+        """The decision history as JSON-serialisable records.
+
+        With ``since``, only decisions whose id exceeds it.  Ids are
+        strictly increasing along the log, so the cut is a binary
+        search and only the tail is converted.
+        """
+        decisions = self.decisions
+        lo = 0
+        if since is not None:
+            hi = len(decisions)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if decisions[mid].decision_id <= since:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        return [_decision_to_dict(d) for d in decisions[lo:]]
 
     # ------------------------------------------------------------------
     # Journal + differential replay
@@ -534,7 +551,9 @@ class TrustSession:
         The session must be freshly built with the same deployment and
         config as the exporter; importing replaces trust values, the
         diagnosed set, the id stream, the decision log, and the open
-        window.
+        window.  A decision log whose ids are not strictly increasing,
+        or not below ``next_decision_id``, is rejected before anything
+        is replaced.
         """
         if state.get("schema") != 1:
             raise ValueError(
@@ -545,6 +564,19 @@ class TrustSession:
                 f"state mode {state.get('mode')!r} does not match session "
                 f"mode {self.config.mode!r}"
             )
+        next_id = int(state["next_decision_id"])  # type: ignore[arg-type]
+        decisions = [
+            _decision_from_dict(d)
+            for d in state["decisions"]  # type: ignore[union-attr]
+        ]
+        ids = [record.decision_id for record in decisions]
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            raise ValueError("decision ids must be strictly increasing")
+        if ids and ids[-1] >= next_id:
+            raise ValueError(
+                f"decision id {ids[-1]} is not below next_decision_id "
+                f"{next_id}"
+            )
         self.members = tuple(int(m) for m in state["members"])  # type: ignore[union-attr]
         self.trust.import_state(
             {int(n): float(v) for n, v in state["trust"]}  # type: ignore[union-attr]
@@ -553,12 +585,9 @@ class TrustSession:
             self.diagnoser.restore(
                 int(n) for n in state["diagnosed"]  # type: ignore[union-attr]
             )
-        self.ids.reset(int(state["next_decision_id"]))  # type: ignore[arg-type]
+        self.ids.reset(next_id)
         self.windows_closed = int(state["windows_closed"])  # type: ignore[arg-type]
-        self.decisions[:] = [
-            _decision_from_dict(d)
-            for d in state["decisions"]  # type: ignore[union-attr]
-        ]
+        self.decisions[:] = decisions
         self._pending_senders = []
         self._pending_rows = []
         if self.report_buffer is not None:

@@ -1,17 +1,22 @@
-"""End-to-end equivalence: batched harness dispatch vs the per-message oracle.
+"""End-to-end equivalence: the radio's transmit routine vs the per-message oracle.
 
 The harness routes each round's reports through
-``RadioChannel.unicast_batch``; these tests force identical runs back
-onto the per-message ``unicast`` loop and assert the full observable
-outcome -- fingerprint, trust table, decisions, trace volume -- is
-bit-identical.
+``RadioChannel.unicast_batch`` and each CH announcement through
+``broadcast``; these tests rerun identical configurations with the
+per-message oracle of ``tests/oracles/radio.py`` installed and assert
+the full observable outcome -- fingerprint, trust table, decisions,
+trace volume, spans -- is bit-identical.
 """
 
 import pytest
 
 from repro.chaos.invariants import run_fingerprint
+from repro.clusterctl.head import reset_decision_ids
+from repro.core.concurrent import reset_circle_ids
 from repro.experiments.harness import CorrectSpec, FaultSpec, SimulationRun
-from repro.network.radio import RadioChannel
+from repro.network.messages import reset_message_ids
+
+from tests.oracles import radio as radio_oracle
 
 
 def location_run(**kwargs):
@@ -62,32 +67,26 @@ def observables(run):
         run.channel.sent,
         run.channel.delivered,
         run.channel.dropped,
-        len(run.sim.trace),
+        [(r.time, r.category, sorted(r.fields.items()))
+         for r in run.sim.trace],
+        list(run.spans.to_records()),
     )
 
 
+def _fresh_run(factory, rounds):
+    # Message, decision and circle ids come from process-global
+    # counters and land in span args; restart them for each run.
+    reset_message_ids()
+    reset_decision_ids()
+    reset_circle_ids()
+    return observables(factory().run(rounds))
+
+
 def _paired(factory, rounds, monkeypatch):
-    """Run the same config batched, then oracle-patched; return both."""
-    batched = observables(factory().run(rounds))
-
-    def unicast_loop(self, sender_ids, destination, messages):
-        return [
-            self.unicast(self.node(sender_id), destination, message)
-            for sender_id, message in zip(sender_ids, messages)
-        ]
-
-    def broadcast_loop(self, sender, message):
-        started = 0
-        for node_id in self.known_ids():
-            if node_id == sender.node_id:
-                continue
-            if self.unicast(sender, node_id, message).delivered:
-                started += 1
-        return started
-
-    monkeypatch.setattr(RadioChannel, "unicast_batch", unicast_loop)
-    monkeypatch.setattr(RadioChannel, "broadcast", broadcast_loop)
-    oracle = observables(factory().run(rounds))
+    """Run the same config on the channel, then on the oracle."""
+    batched = _fresh_run(factory, rounds)
+    radio_oracle.install(monkeypatch)
+    oracle = _fresh_run(factory, rounds)
     return batched, oracle
 
 
@@ -112,14 +111,26 @@ class TestRunEquivalence:
         )
         assert batched == oracle
 
+    def test_traced_run_with_spans_bit_identical_to_oracle(self, monkeypatch):
+        # A recording trace and span collection together: every
+        # transmit and delivery leaves a trace record and a span, and
+        # both streams must match the oracle's record for record.
+        batched, oracle = _paired(
+            lambda: location_run(tracing=True, spans=True),
+            10,
+            monkeypatch,
+        )
+        assert batched == oracle
+        assert batched[-1], "the run recorded no spans"
+
     @pytest.mark.parametrize("level", [1, 2])
     def test_untraced_run_fuses_announcements_bit_identically(
         self, level, monkeypatch
     ):
-        # The runs above record a trace, which keeps every broadcast on
-        # the per-message path; without one, each CH announcement is a
-        # single fused delivery to the nodes it names.  Level-1 and
-        # level-2 liars act on those announcements.
+        # The runs above record a trace, so every broadcast survivor
+        # is delivered; without one, each CH announcement is a single
+        # fused delivery to the nodes it names.  Level-1 and level-2
+        # liars act on those announcements.
         batched, oracle = _paired(
             lambda: location_run(
                 tracing=False,

@@ -1,12 +1,14 @@
-"""Differential tests: batched radio delivery vs the per-message oracle.
+"""Differential tests: the radio's transmit routine vs the per-message oracle.
 
-``RadioChannel.unicast`` is the semantics; ``unicast_batch`` /
-``broadcast`` must replay it bit-identically -- same outcomes, same
-delivered payload order, same trace records, same drop reasons, same
-RNG stream consumption, same interceptor consultation.  Every test here
-builds two identically seeded networks, drives one through the batch
-path and the other through a hand-rolled per-message loop, and compares
-everything observable.
+``RadioChannel`` has one transmit routine behind ``unicast``,
+``unicast_batch`` and ``broadcast``; ``tests/oracles/radio.py`` keeps
+the original per-message ``unicast`` as the semantics.  Every entry
+point must replay that oracle bit-identically -- same outcomes, same
+delivered payload order, same trace records, spans and counters, same
+drop reasons, same RNG stream consumption, same interceptor
+consultation.  Every test here builds two identically seeded networks,
+drives one through the channel and the other through the oracle, and
+compares everything observable.
 """
 
 import numpy as np
@@ -15,18 +17,16 @@ import pytest
 from repro.network.geometry import Point
 from repro.network.messages import ChDecisionAnnouncement, EventReportMessage
 from repro.network.node import NetworkNode
-from repro.network.radio import (
-    ChannelConfig,
-    Intercept,
-    RadioChannel,
-    _VECTOR_MIN,
-)
+from repro.network.radio import ChannelConfig, Intercept, RadioChannel
 from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import SpanCollector
 from repro.sensors.faults import CorrectBehavior
 from repro.sensors.node import SensorNode
 from repro.sensors.sensing import SensingConfig, SensingModel
 from repro.simkernel.simulator import Simulator
 from repro.simkernel.trace import noop_trace
+
+from tests.oracles import radio as radio_oracle
 
 
 class Recorder(NetworkNode):
@@ -39,8 +39,8 @@ class Recorder(NetworkNode):
 
 
 def make_net(loss=0.0, delay=0.01, jitter=0.0, range_limit=None, seed=1,
-             n=10, metrics=None):
-    sim = Simulator(seed=seed, metrics=metrics)
+             n=10, metrics=None, trace=None, spans=None):
+    sim = Simulator(seed=seed, metrics=metrics, trace=trace, spans=spans)
     channel = RadioChannel(
         sim,
         ChannelConfig(
@@ -56,22 +56,9 @@ def make_net(loss=0.0, delay=0.01, jitter=0.0, range_limit=None, seed=1,
     return sim, channel, nodes
 
 
-def oracle_unicast_batch(channel, sender_ids, destination, messages):
-    """The per-message loop the batch path must replay exactly."""
-    return [
-        channel.unicast(channel.node(sender_id), destination, message)
-        for sender_id, message in zip(sender_ids, messages)
-    ]
-
-
-def oracle_broadcast(channel, sender, message):
-    started = 0
-    for node_id in channel.known_ids():
-        if node_id == sender.node_id:
-            continue
-        if channel.unicast(sender, node_id, message).delivered:
-            started += 1
-    return started
+#: The per-message loops every entry point must replay exactly.
+oracle_unicast_batch = radio_oracle.unicast_batch
+oracle_broadcast = radio_oracle.broadcast
 
 
 def trace_tuples(sim):
@@ -331,12 +318,23 @@ class TestJitterFallback:
         assert_equivalent(batch, oracle)
 
     def test_jittered_batch_schedules_per_message_events(self):
-        sim, channel, _nodes = make_net(delay=1.0, jitter=0.5, n=10)
+        # Every jittered delivery has its own delay, so it rides its own
+        # event exactly as the oracle schedules it -- no trace needed.
+        batch = make_net(delay=1.0, jitter=0.5, n=10, trace=noop_trace())
+        oracle = make_net(delay=1.0, jitter=0.5, n=10, trace=noop_trace())
         sender_ids = list(range(1, 10))
-        channel.unicast_batch(
+        b_out = batch[1].unicast_batch(
             sender_ids, 0, [EventReportMessage(sender=i) for i in sender_ids]
         )
-        assert sim.pending == 9  # no fusion on the jitter path
+        o_out = oracle_unicast_batch(
+            oracle[1], sender_ids, 0,
+            [EventReportMessage(sender=i) for i in sender_ids],
+        )
+        assert b_out == o_out
+        assert batch[0].pending == oracle[0].pending == 9
+        batch[0].run()
+        oracle[0].run()
+        assert_equivalent(batch, oracle)
 
 
 class TestBatchShape:
@@ -361,20 +359,27 @@ class TestBatchShape:
             )
 
     def test_small_batch_takes_oracle_path(self):
-        batch = make_net(loss=0.5, seed=12, n=4)
-        oracle = make_net(loss=0.5, seed=12, n=4)
-        sender_ids = list(range(1, _VECTOR_MIN))
-        b_out = batch[1].unicast_batch(
-            sender_ids, 0, [EventReportMessage(sender=i) for i in sender_ids]
-        )
-        o_out = oracle_unicast_batch(
-            oracle[1], sender_ids, 0,
-            [EventReportMessage(sender=i) for i in sender_ids],
-        )
-        assert b_out == o_out
-        batch[0].run()
-        oracle[0].run()
-        assert_equivalent(batch, oracle)
+        # Batches of one to three take the same routine as large ones
+        # (one vector draw), traced or not, and still replay the oracle.
+        for size in (1, 2, 3):
+            for make_trace in (lambda: None, noop_trace):
+                batch = make_net(loss=0.5, seed=12 + size, n=4,
+                                 trace=make_trace())
+                oracle = make_net(loss=0.5, seed=12 + size, n=4,
+                                  trace=make_trace())
+                sender_ids = list(range(1, size + 1))
+                b_out = batch[1].unicast_batch(
+                    sender_ids, 0,
+                    [EventReportMessage(sender=i) for i in sender_ids],
+                )
+                o_out = oracle_unicast_batch(
+                    oracle[1], sender_ids, 0,
+                    [EventReportMessage(sender=i) for i in sender_ids],
+                )
+                assert b_out == o_out
+                batch[0].run()
+                oracle[0].run()
+                assert_equivalent(batch, oracle)
 
     def test_lossless_batch_schedules_one_fused_event(self):
         sim, channel, nodes = make_net(loss=0.0, n=10)
@@ -466,6 +471,113 @@ class TestSatellites:
         )
         sim.run()
         assert [m.sender for m in nodes[5].received] == sender_ids
+
+
+def spanning_chaos_interceptor(sim):
+    """:func:`chaos_interceptor` that also records a span per verdict.
+
+    The chaos controller's interceptor emits ``chaos.intercept`` spans,
+    so span ids only match the oracle's if each entry's verdict is
+    consulted between the previous entry's transmit span and its own.
+    """
+    decide = chaos_interceptor(sim)
+    spans = sim.spans
+
+    def interceptor(sender_id, receiver_id, now):
+        verdict = decide(sender_id, receiver_id, now)
+        if spans.enabled and verdict is not None:
+            spans.point("chaos.intercept", parent=spans.current,
+                        sender=sender_id, receiver=receiver_id,
+                        drop=verdict.drop)
+        return verdict
+
+    return interceptor
+
+
+#: Channel features that each need per-entry work in the transmit
+#: routine.  Every scenario runs on a lossy channel with a dead
+#: receiver and metrics on; only "recording-trace" keeps a trace.
+FEATURES = {
+    "spans": dict(spans=True),
+    "recording-trace": dict(trace=True),
+    "tap": dict(tap=True),
+    "range-limit": dict(range_limit=25.0),
+    "jitter-interceptor": dict(jitter=0.4, interceptor=True),
+    "everything": dict(spans=True, trace=True, tap=True, range_limit=25.0,
+                       jitter=0.4, interceptor=True),
+}
+
+ENTRY_POINTS = ("unicast", "unicast_batch", "broadcast")
+
+
+def run_feature_scenario(impl, entry, feature, seed, messages):
+    """Drive one network through ``impl`` (the channel or the oracle)."""
+    opts = FEATURES[feature]
+    registry = MetricsRegistry(enabled=True)
+    sim, channel, nodes = make_net(
+        loss=0.3, delay=1.0, jitter=opts.get("jitter", 0.0),
+        range_limit=opts.get("range_limit"), seed=seed, n=12,
+        metrics=registry,
+        trace=None if opts.get("trace") else noop_trace(),
+        spans=SpanCollector() if opts.get("spans") else None,
+    )
+    nodes[3].kill()
+    if opts.get("tap"):
+        channel.add_tap(4, nodes[11])
+        channel.add_tap(2, nodes[10])
+    if opts.get("interceptor"):
+        channel.set_interceptor(spanning_chaos_interceptor(sim))
+    sender_ids = [1, 2, 4, 5, 6, 7, 9]
+    if entry == "unicast":
+        out = [
+            impl.unicast(channel, nodes[sender_id], 2, message)
+            for sender_id, message in zip(sender_ids, messages)
+        ]
+        # An unknown destination and a dead one, mid-stream.
+        out.append(impl.unicast(channel, nodes[1], 99, messages[0]))
+        out.append(impl.unicast(channel, nodes[1], 3, messages[1]))
+    elif entry == "unicast_batch":
+        out = impl.unicast_batch(channel, sender_ids, 2, messages)
+        # A whole batch to the dead receiver.
+        out += impl.unicast_batch(channel, sender_ids[:3], 3, messages[:3])
+    else:
+        out = [impl.broadcast(channel, nodes[4], message)
+               for message in messages[:3]]
+    sim.run()
+    return sim, channel, nodes, out, registry
+
+
+class TestFeatureDifferential:
+    """Each entry point with each per-entry feature on, against the oracle.
+
+    Messages are shared between the two networks, so message ids --
+    which spans record -- line up, and payload logs compare ids too.
+    """
+
+    @pytest.mark.parametrize("seed", [5, 19])
+    @pytest.mark.parametrize("feature", sorted(FEATURES))
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_point_matches_oracle(self, entry, feature, seed):
+        messages = [EventReportMessage(sender=i) for i in range(7)]
+        real = run_feature_scenario(RadioChannel, entry, feature, seed,
+                                    messages)
+        oracle = run_feature_scenario(radio_oracle, entry, feature, seed,
+                                      messages)
+        assert real[3] == oracle[3]
+        assert_equivalent(real[:3], oracle[:3])
+        assert {
+            n.node_id: [m.message_id for m in n.received] for n in real[2]
+        } == {
+            n.node_id: [m.message_id for m in n.received] for n in oracle[2]
+        }
+        assert real[4].snapshot() == oracle[4].snapshot()
+        r_spans = list(real[0].spans.to_records())
+        assert r_spans == list(oracle[0].spans.to_records())
+        if FEATURES[feature].get("spans"):
+            assert any(r["category"] == "radio.transmit" for r in r_spans)
+            assert any(r["category"] == "radio.drop" for r in r_spans)
+        if FEATURES[feature].get("trace"):
+            assert len(real[0].trace) > 0
 
 
 class OutcomeLog(CorrectBehavior):

@@ -394,3 +394,74 @@ class TestMalformedContentLength:
 
     def test_overflowing(self, server):
         self.check(server, "99999999999999999999")
+
+
+class TestMalformedJsonBody:
+    """A body ``json.loads`` cannot decode is a 400 naming the JSON body.
+
+    Besides syntax errors that covers nesting too deep for the decoder
+    (``RecursionError``), bytes that are not UTF-8
+    (``UnicodeDecodeError``) and an integer literal longer than the
+    interpreter converts (a plain ``ValueError``).  Each used to escape
+    the handler and drop the connection with no response.
+    """
+
+    def check(self, server, data):
+        base, manager = server
+        ingest(base, "t", [(0, 15.0, 15.0)])
+        status, doc = send(base, "POST", "/v1/sessions/t/close", data)
+        assert status == 400
+        assert "invalid JSON body" in doc["error"]
+        # The window is untouched, and the server still answers.
+        with manager.locked("t") as session:
+            assert session.pending_reports() == 1
+        status, doc = call(
+            base, "POST", "/v1/sessions/t/close", {"time": 1.0}
+        )
+        assert status == 200
+        assert len(doc["decisions"]) == 1
+
+    def test_deeply_nested(self, server):
+        self.check(server, b"[" * 200_000)
+
+    def test_not_utf8(self, server):
+        self.check(server, b'{"time": "\xff"}')
+
+    def test_syntax_error(self, server):
+        self.check(server, b'{"time": ')
+
+    def test_integer_past_digit_limit(self, server):
+        self.check(server, b'{"time": ' + b"1" * 5000 + b"}")
+
+
+class TestDecisionsSince:
+    def test_since_returns_the_tail(self, server):
+        base, _ = server
+        for window in range(4):
+            ingest(base, "t", [(n, 15.0, 15.0) for n in range(5)])
+            call(base, "POST", "/v1/sessions/t/close",
+                 {"time": float(window + 1)})
+        status, doc = call(base, "GET", "/v1/sessions/t/decisions")
+        assert status == 200
+        ids = [d["decision_id"] for d in doc["decisions"]]
+        assert ids == [1, 2, 3, 4]
+        for since, expected in [(-5, ids), (0, ids), (1, ids[1:]),
+                                (3, ids[3:]), (4, []), (99, [])]:
+            status, doc = call(
+                base, "GET", f"/v1/sessions/t/decisions?since={since}"
+            )
+            assert status == 200
+            assert [d["decision_id"] for d in doc["decisions"]] == expected
+
+    def test_put_state_rejects_unordered_decision_ids(self, server):
+        base, _ = server
+        for window in range(2):
+            ingest(base, "src", [(n, 15.0, 15.0) for n in range(5)])
+            call(base, "POST", "/v1/sessions/src/close",
+                 {"time": float(window + 1)})
+        status, state = call(base, "GET", "/v1/sessions/src/state")
+        assert status == 200
+        state["decisions"].reverse()
+        status, doc = call(base, "PUT", "/v1/sessions/dst/state", state)
+        assert status == 400
+        assert "strictly increasing" in doc["error"]

@@ -186,6 +186,49 @@ class TestStateRoundTrip:
         with pytest.raises(ValueError):
             location.import_state(binary.export_state())
 
+    def decided_state(self):
+        session = make_session(mode="binary")
+        for window in range(3):
+            for node in range(6):
+                session.ingest(node)
+            session.close_window(now=float(window))
+        return json.loads(json.dumps(session.export_state()))
+
+    @pytest.mark.parametrize("order", ["repeated", "descending"])
+    def test_import_rejects_unordered_decision_ids(self, order):
+        state = self.decided_state()
+        decisions = state["decisions"]
+        assert [d["decision_id"] for d in decisions] == [1, 2, 3]
+        if order == "repeated":
+            decisions[2]["decision_id"] = 2
+        else:
+            decisions.reverse()
+        clone = make_session(mode="binary")
+        before = clone.export_state()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            clone.import_state(state)
+        assert clone.export_state() == before  # nothing was replaced
+
+    def test_import_rejects_ids_not_below_next_id(self):
+        state = self.decided_state()
+        state["next_decision_id"] = 3
+        clone = make_session(mode="binary")
+        with pytest.raises(ValueError, match="next_decision_id"):
+            clone.import_state(state)
+
+    def test_decision_log_since_is_the_tail(self):
+        session = make_session(mode="binary")
+        for window in range(5):
+            for node in range(6):
+                session.ingest(node)
+            session.close_window(now=float(window))
+        full = session.decision_log()
+        assert [d["decision_id"] for d in full] == [1, 2, 3, 4, 5]
+        for since in range(-1, 7):
+            assert session.decision_log(since) == [
+                d for d in full if d["decision_id"] > since
+            ]
+
     def test_journal_requires_flag(self):
         session = make_session(mode="binary")
         with pytest.raises(RuntimeError):
